@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
 from ..model.stochastic import resolve_rng
 
-__all__ = ["FaultConfig", "FaultStats", "FaultInjector"]
+__all__ = ["FaultConfig", "FaultStats", "FaultInjector", "injector_fault_free"]
 
 
 @dataclass(frozen=True)
@@ -204,3 +205,16 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultInjector {self.config!r} injected={self.stats.total}>"
+
+
+def injector_fault_free(injector: Any) -> bool:
+    """True for no injector, or one whose every rate is exactly zero.
+
+    Such an injector never draws and never fires, so a run with it is
+    bit-identical to a run without it.  Anything without a
+    :class:`FaultConfig` counts as faulty.
+    """
+    if injector is None:
+        return True
+    config = getattr(injector, "config", None)
+    return bool(getattr(config, "fault_free", False))

@@ -17,6 +17,14 @@ measurement (43.48 ms for 887,784 bytes) predicts the dual-PRR measurement
 (19.77 ms for 404,168 bytes) to within 0.05% — strong evidence this is the
 mechanism behind the paper's numbers.  See
 :func:`repro.analysis.calibration.fit_icap_handshake`.
+
+The chunk pipeline has one float fold, :meth:`ConfigurePlan.end_time`.
+An uncontended configuration (fault-free injectors, an exclusive link)
+takes it as a single macro step — one :class:`~repro.sim.engine.At`
+resume instead of ~4 DES events per chunk — and the hybrid replay
+(:mod:`repro.model.hybrid`) calls the same fold.  Everything else runs
+the per-chunk processes, the reference model the macro step matches
+bit for bit (docs/PERFORMANCE.md, "Macro-event configure").
 """
 
 from __future__ import annotations
@@ -27,14 +35,19 @@ from typing import Any, Generator
 
 from ..faults.detection import CrcChecker
 from ..faults.errors import TransferCorruption, WriteAbort
-from ..faults.injector import FaultInjector
+from ..faults.injector import FaultInjector, injector_fault_free
 from ..obs import metrics as obsm
-from ..sim.engine import AllOf, Delay, Simulator
+from ..sim.engine import AllOf, At, Delay, Simulator
 from ..sim.resources import BandwidthChannel, MutexResource
 from .bitstream import Bitstream
 from .catalog import MB, MS
 
-__all__ = ["IcapController", "IcapTimings", "DEFAULT_ICAP_TIMINGS"]
+__all__ = [
+    "ConfigurePlan",
+    "IcapController",
+    "IcapTimings",
+    "DEFAULT_ICAP_TIMINGS",
+]
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,47 @@ DEFAULT_ICAP_TIMINGS = IcapTimings(
 )
 
 
+@dataclass(frozen=True)
+class ConfigurePlan:
+    """The addends of one bitstream size's double-buffered pipeline.
+
+    Every float here is the exact duration the per-chunk DES processes
+    yield, so :meth:`end_time` reproduces their clock bitwise.
+    """
+
+    #: bytes per chunk, in streaming order
+    sizes: tuple[int, ...]
+    #: link time of chunk 0 into the first BRAM bank
+    fill: float
+    #: per-chunk state-machine drain (handshake + ICAP wire time)
+    drains: tuple[float, ...]
+    #: link time of chunk ``i + 1``, prefetched while chunk ``i`` drains
+    prefetches: tuple[float, ...]
+
+    def end_time(
+        self, t0: float, spans: list[tuple[float, float]] | None = None
+    ) -> float:
+        """End of a configuration whose link fill starts at ``t0``.
+
+        The left fold the DES performs: fill chunk 0, then per chunk
+        resume at ``max(drain end, next-chunk prefetch end)`` — drain
+        and prefetch both start at the same barrier time — and finish
+        with the last drain.  ``spans`` (if given) receives each link
+        transfer's ``(start, end)``.
+        """
+        t = t0 + self.fill
+        if spans is not None:
+            spans.append((t0, t))
+        drains = self.drains
+        for i, pre in enumerate(self.prefetches):
+            t_prefetch = t + pre
+            if spans is not None:
+                spans.append((t, t_prefetch))
+            t_drain = t + drains[i]
+            t = t_drain if t_drain >= t_prefetch else t_prefetch
+        return t + drains[-1]
+
+
 class IcapController:
     """DES model of the Fig. 7 control circuit.
 
@@ -132,6 +186,8 @@ class IcapController:
         self.chunk_retransmits = 0
         self.write_aborts = 0
         self.silent_corruptions = 0
+        #: :meth:`plan` cache, keyed by bitstream size
+        self._plans: dict[int, ConfigurePlan] = {}
 
     # -- pure time model (no queueing) ------------------------------------
 
@@ -140,6 +196,27 @@ class IcapController:
         t = self.timings
         first = min(t.chunk_bytes, bitstream.nbytes)
         return self.in_link.transfer_time(first) + t.drain_time(bitstream.nbytes)
+
+    def plan(self, nbytes: int) -> ConfigurePlan:
+        """The (cached) pipeline addends for an ``nbytes`` bitstream."""
+        plan = self._plans.get(nbytes)
+        if plan is None:
+            t = self.timings
+            link = self.in_link
+            sizes = self._chunk_sizes(nbytes)
+            plan = ConfigurePlan(
+                sizes=tuple(sizes),
+                fill=link.transfer_time(sizes[0]),
+                drains=tuple(
+                    t.chunk_handshake + size / t.icap_bandwidth
+                    for size in sizes
+                ),
+                prefetches=tuple(
+                    link.transfer_time(size) for size in sizes[1:]
+                ),
+            )
+            self._plans[nbytes] = plan
+        return plan
 
     # -- DES process -------------------------------------------------------
 
@@ -159,53 +236,23 @@ class IcapController:
         budget runs out); the state machine may abort mid-drain
         (:class:`WriteAbort`).  Either fault aborts the whole attempt with
         the ICAP mutex cleanly released, leaving recovery to the caller.
+
+        When :meth:`_uncontended` holds at the ICAP grant the pipeline
+        is one macro step (:meth:`_configure_macro`); otherwise the
+        per-chunk processes run (:meth:`_configure_chunked`).
         """
         if not bitstream.is_partial:
             raise ValueError(
                 "the ICAP controller path is for partial bitstreams; "
                 "full configuration goes through the vendor SelectMap API"
             )
-        t = self.timings
-        sizes = self._chunk_sizes(bitstream.nbytes)
-
         yield from self.icap_mutex.acquire(owner)
         held_at = self.sim.now
         try:
-            # Fill the first BRAM bank.
-            yield from self._fill_chunk(bitstream, 0, sizes[0], owner)
-            for i, size in enumerate(sizes):
-                drain = t.chunk_handshake + size / t.icap_bandwidth
-                if self.injector is not None and self.injector.chunk_aborted():
-                    # The state machine died partway through the write;
-                    # pay the wasted fraction of the drain, then fail.
-                    self.write_aborts += 1
-                    obsm.counter("repro_icap_write_aborts_total").inc()
-                    yield Delay(self.injector.abort_fraction() * drain)
-                    raise WriteAbort(
-                        f"ICAP write abort on chunk {i} of {bitstream.name!r}"
-                    )
-                if i + 1 < len(sizes):
-                    arrived: dict[str, bool] = {}
-
-                    def prefetch(
-                        idx: int = i + 1, nb: int = sizes[i + 1]
-                    ) -> Generator[Any, Any, None]:
-                        _, ok = yield from self.in_link.transfer_ok(
-                            nb, f"{owner}:bs{idx}"
-                        )
-                        arrived["ok"] = ok
-
-                    nxt = self.sim.spawn(
-                        prefetch(), name=f"icap-prefetch-{i+1}"
-                    )
-                    yield Delay(drain)
-                    yield AllOf([nxt.done])
-                    if not arrived.get("ok", True):
-                        yield from self._retransmit(
-                            bitstream, i + 1, sizes[i + 1], owner
-                        )
-                else:
-                    yield Delay(drain)
+            if self._uncontended():
+                yield from self._configure_macro(bitstream, owner)
+            else:
+                yield from self._configure_chunked(bitstream, owner)
             self.configurations += 1
             self.bytes_configured += bitstream.nbytes
             obsm.counter("repro_icap_configurations_total").inc()
@@ -218,6 +265,78 @@ class IcapController:
             )
             self.icap_mutex.release(owner)
         return self.sim.now
+
+    def _uncontended(self) -> bool:
+        """May the configuration starting now take one macro step?
+
+        True when neither this controller's nor the link's injector can
+        fire and the link is :meth:`~repro.sim.resources.BandwidthChannel
+        .exclusive` — then no other process can observe or perturb the
+        chunk pipeline before it ends.
+        """
+        return (
+            injector_fault_free(self.injector)
+            and injector_fault_free(self.in_link.injector)
+            and self.in_link.exclusive()
+        )
+
+    def _configure_macro(
+        self, bitstream: Bitstream, owner: str
+    ) -> Generator[Any, Any, None]:
+        """The fault-free pipeline as one event on a reserved link.
+
+        Folds the end time with :meth:`ConfigurePlan.end_time`, reserves
+        the link until then, resumes once at that absolute time and
+        books the chunk transfers the per-chunk path would have made.
+        """
+        plan = self.plan(bitstream.nbytes)
+        spans: list[tuple[float, float]] = []
+        end = plan.end_time(self.sim.now, spans)
+        link = self.in_link
+        link.reserve(end)
+        yield At(end)
+        link.release_reservation()
+        for idx, ((start, stop), size) in enumerate(zip(spans, plan.sizes)):
+            link.record(start, stop, size, f"{owner}:bs{idx}")
+
+    def _configure_chunked(
+        self, bitstream: Bitstream, owner: str
+    ) -> Generator[Any, Any, None]:
+        """The per-chunk reference model, with the fault hooks."""
+        plan = self.plan(bitstream.nbytes)
+        sizes = plan.sizes
+        # Fill the first BRAM bank.
+        yield from self._fill_chunk(bitstream, 0, sizes[0], owner)
+        for i, drain in enumerate(plan.drains):
+            if self.injector is not None and self.injector.chunk_aborted():
+                # The state machine died partway through the write;
+                # pay the wasted fraction of the drain, then fail.
+                self.write_aborts += 1
+                obsm.counter("repro_icap_write_aborts_total").inc()
+                yield Delay(self.injector.abort_fraction() * drain)
+                raise WriteAbort(
+                    f"ICAP write abort on chunk {i} of {bitstream.name!r}"
+                )
+            if i + 1 < len(sizes):
+                arrived: dict[str, bool] = {}
+
+                def prefetch(
+                    idx: int = i + 1, nb: int = sizes[i + 1]
+                ) -> Generator[Any, Any, None]:
+                    _, ok = yield from self.in_link.transfer_ok(
+                        nb, f"{owner}:bs{idx}"
+                    )
+                    arrived["ok"] = ok
+
+                nxt = self.sim.spawn(prefetch(), name=f"icap-prefetch-{i+1}")
+                yield Delay(drain)
+                yield AllOf([nxt.done])
+                if not arrived.get("ok", True):
+                    yield from self._retransmit(
+                        bitstream, i + 1, sizes[i + 1], owner
+                    )
+            else:
+                yield Delay(drain)
 
     def _fill_chunk(
         self, bitstream: Bitstream, idx: int, nbytes: int, owner: str

@@ -7,10 +7,14 @@ beyond the equations can fire.  This module makes that claim operational:
 * :data:`EXACTNESS_PREDICATES` names the conditions under which a grid
   point's DES makespan is provably equal (bit-for-bit, not just close) to
   a straight-line float replay of the executor's event arithmetic;
-* :func:`replay_frtr` / :func:`replay_prtr` / :func:`replay_icap_configure`
-  perform that replay, folding the exact same float additions the DES
-  would perform, in the exact same order — so the result is the *same
-  Python float*, not an approximation of it;
+* :func:`replay_frtr` / :func:`replay_prtr` perform that replay,
+  folding the exact same float additions the DES would perform, in the
+  exact same order — so the result is the *same Python float*, not an
+  approximation of it.  A partial configuration is not mirrored here:
+  the replay calls :meth:`repro.hardware.icap_controller.ConfigurePlan
+  .end_time`, the one chunk-pipeline fold the DES itself resumes on
+  (as a single macro event) whenever the configuration is
+  uncontended;
 * :func:`replay_comparison_speedup` and :func:`replay_fault_point` answer
   a Figure-9 point or a rate-0 fault-grid cell without spinning up the
   event loop;
@@ -40,14 +44,13 @@ be used at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from .stochastic import resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..analysis.reliability import FaultSweepPoint
     from ..faults.recovery import RecoveryPolicy
-    from ..hardware.icap_controller import IcapController
     from ..hardware.prr import Floorplan
     from ..rtr.frtr import FrtrExecutor
     from ..rtr.prtr import PrtrExecutor
@@ -66,7 +69,6 @@ __all__ = [
     "replay_energy_components",
     "replay_fault_point",
     "replay_frtr",
-    "replay_icap_configure",
     "replay_prtr",
     "verification_sample",
 ]
@@ -175,10 +177,6 @@ def verification_sample(
 # -- predicate evaluation ---------------------------------------------------
 
 
-def _injector_fault_free(injector: Any) -> bool:
-    return injector is None or injector.config.fault_free
-
-
 def comparison_verdicts(
     *,
     floorplan: "Floorplan | None" = None,
@@ -186,10 +184,11 @@ def comparison_verdicts(
     node_kwargs: dict[str, Any] | None = None,
 ) -> dict[str, bool]:
     """Exactness verdicts for one :func:`repro.rtr.runner.compare` point."""
+    from ..faults.injector import injector_fault_free
     from ..hardware.prr import dual_prr_floorplan
 
     kwargs = node_kwargs or {}
-    fault_free = _injector_fault_free(kwargs.get("fault_injector"))
+    fault_free = injector_fault_free(kwargs.get("fault_injector"))
     plan = floorplan or dual_prr_floorplan()
     return {
         "fault-free": fault_free,
@@ -240,32 +239,6 @@ def fault_point_verdicts(fault_rate: float, seed: int = 0) -> dict[str, bool]:
 # -- exact float replays ----------------------------------------------------
 
 
-def replay_icap_configure(
-    icap: "IcapController", nbytes: int, t0: float
-) -> float:
-    """End time of one chunked double-buffered ICAP configuration.
-
-    Mirrors :meth:`repro.hardware.icap_controller.IcapController.configure`
-    addition for addition: fill the first BRAM bank over the link, then
-    per chunk take ``max(drain end, next-chunk prefetch end)`` — both the
-    drain and the prefetch start from the same barrier time, exactly as
-    the spawned prefetch branch does in the DES.
-    """
-    timings = icap.timings
-    sizes = icap._chunk_sizes(nbytes)
-    last = len(sizes) - 1
-    t = t0 + icap.in_link.transfer_time(sizes[0])
-    for i, size in enumerate(sizes):
-        drain = timings.chunk_handshake + size / timings.icap_bandwidth
-        if i < last:
-            t_prefetch = t + icap.in_link.transfer_time(sizes[i + 1])
-            t_drain = t + drain
-            t = t_drain if t_drain >= t_prefetch else t_prefetch
-        else:
-            t = t + drain
-    return t
-
-
 def _replay_partial_config(
     executor: "PrtrExecutor", module: str, t0: float
 ) -> float:
@@ -273,7 +246,7 @@ def _replay_partial_config(
     bs = executor.bitstream_for(module)
     if executor.estimated:
         return t0 + executor.node.icap_raw.wire_time(bs.nbytes)
-    return replay_icap_configure(executor.node.icap, bs.nbytes, t0)
+    return executor.node.icap.plan(bs.nbytes).end_time(t0)
 
 
 def replay_frtr(executor: "FrtrExecutor", trace: "CallTrace") -> float:
@@ -503,16 +476,3 @@ def replay_fault_point(
         x_task=task_time / t_full,
     )
 
-
-def shadow_check(
-    samples: Sequence[HybridSample],
-) -> None:
-    """Assert every shadow sample agrees; raises ``InvariantError``.
-
-    Thin wrapper over :func:`repro.runtime.invariants.audit_hybrid` —
-    verification failures are *always* fatal (a wrong analytic answer is
-    never acceptable output), independent of the strict-invariants flag.
-    """
-    from ..runtime.invariants import audit_hybrid
-
-    audit_hybrid(samples).raise_if_strict(strict=True)

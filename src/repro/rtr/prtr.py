@@ -120,6 +120,10 @@ class PrtrExecutor:
         self._bitstream_bytes = bitstream_bytes
         self.force_miss = force_miss
         self.detailed_io = detailed_io
+        if detailed_io:
+            # Data-in legs share the inbound channel with bitstreams, so
+            # configurations must queue per chunk, never reserve it.
+            node.link.inbound.declare_data_traffic()
         #: optional shared backplane bitstreams are fetched over before
         #: each (re)configuration — the cluster bitstream-server model
         self.bitstream_source = bitstream_source

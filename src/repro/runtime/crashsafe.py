@@ -105,6 +105,8 @@ def run_checkpointed(
     A run may be killed under one worker count and resumed under any
     other (including serial) — leftover segments are always absorbed.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1: {workers}")
     meta = dict(meta or {})
     items = list(items)
     keys = [key_of(item) for item in items]

@@ -22,6 +22,7 @@ gold/silver/bronze mix used when no spec file is given.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
@@ -353,19 +354,20 @@ class ServiceConfig:
     chaos: Any = None
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        if self.quantum <= 0:
-            raise ValueError("quantum must be > 0")
+        # Finite, not just positive: NaN slips past a ``<= 0`` check and
+        # an infinite horizon never drains.
+        for f in ("horizon", "quantum", "epoch"):
+            v = getattr(self, f)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{f} must be finite and > 0: {v!r}")
         for f in ("checkpoint_cost", "restore_cost", "aging_rate"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be >= 0")
+            v = getattr(self, f)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{f} must be finite and >= 0: {v!r}")
         if self.overload_backlog < 1:
             raise ValueError("overload_backlog must be >= 1")
-        if self.epoch <= 0:
-            raise ValueError("epoch must be > 0")
         for t, slot in self.degrade_at:
-            if t < 0 or slot < 0:
+            if not (math.isfinite(t) and t >= 0) or slot < 0:
                 raise ValueError(
                     f"degrade_at entries must be (time>=0, slot>=0): "
                     f"({t}, {slot})"
@@ -374,8 +376,12 @@ class ServiceConfig:
             raise ValueError("max_config_attempts must be >= 1")
         if self.prrs < 0:
             raise ValueError("prrs must be >= 0 (0 = dual-PRR default)")
-        if self.power_cap_w is not None and self.power_cap_w <= 0:
-            raise ValueError("power_cap_w must be > 0 (or None to disable)")
+        if self.power_cap_w is not None and not (
+            math.isfinite(self.power_cap_w) and self.power_cap_w > 0
+        ):
+            raise ValueError(
+                "power_cap_w must be finite and > 0 (or None to disable)"
+            )
         if self.stall_events < 1:
             raise ValueError("stall_events must be >= 1")
         if self.chaos is not None and not hasattr(self.chaos, "as_dict"):

@@ -8,6 +8,7 @@ built.
 
 from .engine import (
     AllOf,
+    At,
     Delay,
     EventSignal,
     Process,
@@ -20,6 +21,7 @@ from .trace import Phase, Span, Timeline
 
 __all__ = [
     "AllOf",
+    "At",
     "BandwidthChannel",
     "Delay",
     "EventSignal",

@@ -7,8 +7,9 @@ kernel.  It follows the classic event-list design:
 * a :class:`Simulator` owns a monotonically advancing clock and a priority
   queue of :class:`Event` records;
 * *processes* are plain Python generators that ``yield`` scheduling
-  primitives (:class:`Delay`, :class:`WaitEvent`, :class:`AllOf`) and are
-  resumed by the kernel when the corresponding condition is satisfied.
+  primitives (:class:`Delay`, :class:`At`, :class:`WaitEvent`,
+  :class:`AllOf`) and are resumed by the kernel when the corresponding
+  condition is satisfied.
 
 The engine is intentionally synchronous and single-threaded: determinism is
 a hard requirement because the analytical model of the paper is exact, and
@@ -36,6 +37,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Delay",
+    "At",
     "WaitEvent",
     "AllOf",
     "EventSignal",
@@ -58,6 +60,26 @@ class Delay:
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise SimulationError(f"negative delay: {self.duration!r}")
+
+
+@dataclass(frozen=True)
+class At:
+    """Yield from a process to resume it at absolute simulated ``time``.
+
+    ``Delay(end - sim.now)`` makes the kernel compute
+    ``now + (end - now)``, which is not always ``end`` in floating
+    point.  ``At(end)`` schedules at ``end`` itself, so an end time
+    folded outside the kernel (the macro-stepped ICAP configure) lands
+    on the clock bit for bit.  The resume takes its ``(time, seq)`` key
+    when the ``At`` is yielded, exactly like a :class:`Delay`.  A NaN
+    time raises at construction, a time before ``now`` when yielded.
+    """
+
+    time: float
+
+    def __post_init__(self) -> None:
+        if self.time != self.time:
+            raise SimulationError("At(nan): resume time must be a number")
 
 
 class EventSignal:
@@ -129,9 +151,10 @@ class AllOf:
 class Process:
     """A running generator coroutine inside a :class:`Simulator`.
 
-    The generator yields :class:`Delay` / :class:`WaitEvent` / :class:`AllOf`
-    instances (or another :class:`Process` to join it).  When the generator
-    returns, :attr:`done` fires with the generator's return value.
+    The generator yields :class:`Delay` / :class:`At` / :class:`WaitEvent` /
+    :class:`AllOf` instances (or another :class:`Process` to join it).
+    When the generator returns, :attr:`done` fires with the generator's
+    return value.
     """
 
     __slots__ = ("sim", "gen", "done", "name", "_pending_join")
@@ -175,6 +198,9 @@ class Process:
             self._wait_all(target.signals)
         elif isinstance(target, EventSignal):
             target._add_waiter(self)
+        elif isinstance(target, At):
+            # _schedule rejects a time before now
+            sim._schedule(target.time, self, None)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported {target!r}"

@@ -116,6 +116,12 @@ class BandwidthChannel:
         anything with ``transfer_corrupted(nbytes) -> bool``).  Consulted
         once per :meth:`transfer_ok` call; corrupted transfers still pay
         their full wire time — the bytes moved, they just arrived wrong.
+
+    A burst whose timing is folded in closed form (the macro-stepped
+    ICAP configure) takes a :meth:`reserve` window instead of queueing
+    on the channel: any transfer that starts inside the window raises
+    :class:`SimulationError` rather than silently reordering, and the
+    burst's transfers are booked afterwards through :meth:`record`.
     """
 
     def __init__(
@@ -139,6 +145,11 @@ class BandwidthChannel:
         self.bytes_moved: float = 0.0
         self.transfer_count: int = 0
         self.corrupted_count: int = 0
+        #: set by :meth:`declare_data_traffic`: payload transfers may
+        #: contend with bitstream bursts on this channel
+        self.data_traffic = False
+        #: end of the active :meth:`reserve` window (None when unreserved)
+        self.reserved_until: float | None = None
 
     def transfer_time(self, nbytes: float) -> float:
         """Pure time model for a transfer of ``nbytes`` (no queueing)."""
@@ -154,6 +165,12 @@ class BandwidthChannel:
         Ignores fault injection — use :meth:`transfer_ok` for payloads
         whose integrity matters (bitstreams).
         """
+        until = self.reserved_until
+        if until is not None and self.sim.now < until:
+            raise SimulationError(
+                f"transfer {owner!r} starts on {self.name!r} inside a "
+                f"reserved window ending at {until!r} (now={self.sim.now!r})"
+            )
         yield from self._mutex.acquire(owner)
         try:
             yield Delay(self.transfer_time(nbytes))
@@ -180,6 +197,44 @@ class BandwidthChannel:
             ok = False
             self.corrupted_count += 1
         return t, ok
+
+    def declare_data_traffic(self) -> None:
+        """Announce payload transfers on this channel.
+
+        Bitstream bursts then stay on the per-transfer path, where they
+        queue behind (and interleave with) the data instead of reserving
+        the channel.
+        """
+        self.data_traffic = True
+
+    def exclusive(self) -> bool:
+        """True when nothing holds, awaits, reserves or shares the channel."""
+        return (
+            not self.data_traffic
+            and not self._mutex.busy
+            and not self._mutex._waiters
+            and self.reserved_until is None
+        )
+
+    def reserve(self, until: float) -> None:
+        """Claim the :meth:`exclusive` channel from now until ``until``.
+
+        The holder books what it moved with :meth:`record` and ends the
+        window with :meth:`release_reservation`.
+        """
+        self.reserved_until = until
+
+    def record(
+        self, start: float, end: float, nbytes: float, owner: str
+    ) -> None:
+        """Book one transfer moved in closed form: ``[start, end)``."""
+        self._mutex.intervals.append(Interval(start, end, owner))
+        self.bytes_moved += nbytes
+        self.transfer_count += 1
+
+    def release_reservation(self) -> None:
+        """End the :meth:`reserve` window."""
+        self.reserved_until = None
 
     @property
     def intervals(self) -> list[Interval]:

@@ -20,9 +20,12 @@ from repro.runtime.benchtrack import (
 )
 
 
-def _summaries(events=2.0e5, serial=2000.0, workers4=400.0, speedup=15.0):
+def _summaries(
+    requests=50.0, serial=2000.0, workers4=400.0, speedup=15.0,
+    events=2.0e5,
+):
     return {
-        "service": {"events_per_sec": events, "requests_per_sec": 50.0},
+        "service": {"events_per_sec": events, "requests_per_sec": requests},
         "hybrid": {
             "grid_points_per_sec_serial": serial,
             "grid_points_per_sec_workers4": workers4,
@@ -72,10 +75,10 @@ class TestTrajectory:
         assert entry["timestamp"] == "2026-08-07"
         assert entry["suites"] == ["hybrid", "service"]
         assert set(entry["metrics"]) == set(GATE_METRICS)
-        assert entry["metrics"]["events_per_sec"] == 2.0e5
+        assert entry["metrics"]["requests_per_sec"] == 50.0
 
     def test_missing_suite_records_none(self):
-        entry = build_entry("pr8", {"service": {"events_per_sec": 1.0}})
+        entry = build_entry("pr8", {"service": {"requests_per_sec": 1.0}})
         assert entry["metrics"]["hybrid_speedup"] is None
 
     def test_append_creates_and_extends(self, tmp_path):
@@ -87,10 +90,10 @@ class TestTrajectory:
 
     def test_reappend_same_label_replaces(self, tmp_path):
         path = str(tmp_path / "traj.json")
-        append_entry(path, build_entry("pr8", _summaries(events=1.0)))
-        doc = append_entry(path, build_entry("pr8", _summaries(events=2.0)))
+        append_entry(path, build_entry("pr8", _summaries(requests=1.0)))
+        doc = append_entry(path, build_entry("pr8", _summaries(requests=2.0)))
         assert len(doc["entries"]) == 1
-        assert doc["entries"][0]["metrics"]["events_per_sec"] == 2.0
+        assert doc["entries"][0]["metrics"]["requests_per_sec"] == 2.0
 
     def test_load_rejects_non_trajectory(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -105,9 +108,20 @@ class TestRegressionGate:
 
     def test_within_tolerance_passes(self):
         entries = [
-            build_entry("pr7", _summaries(events=100.0)),
-            build_entry("pr8", _summaries(events=81.0)),  # -19%
+            build_entry("pr7", _summaries(requests=100.0)),
+            build_entry("pr8", _summaries(requests=81.0)),  # -19%
         ]
+        assert check_regression(entries) == []
+
+    def test_fewer_events_per_sec_is_not_gated(self):
+        # The same requests in fewer DES events is a speedup, not a
+        # regression: events_per_sec is recorded but never gated.
+        entries = [
+            build_entry("pr7", _summaries(events=2.0e5)),
+            build_entry("pr8", _summaries(events=0.5e5, requests=100.0)),
+        ]
+        assert "events_per_sec" not in GATE_METRICS
+        assert "events_per_sec" not in entries[-1]["metrics"]
         assert check_regression(entries) == []
 
     def test_past_tolerance_fails_with_metric_name(self):
@@ -121,16 +135,16 @@ class TestRegressionGate:
 
     def test_missing_metric_is_skipped(self):
         old = build_entry("pr7", _summaries())
-        new = build_entry("pr8", {"service": {"events_per_sec": 1.0}})
-        # hybrid metrics absent in pr8 -> skipped; events crashed -> fail
+        new = build_entry("pr8", {"service": {"requests_per_sec": 1.0}})
+        # hybrid metrics absent in pr8 -> skipped; requests crashed -> fail
         violations = check_regression([old, new])
         assert len(violations) == 1
-        assert "events_per_sec" in violations[0]
+        assert "requests_per_sec" in violations[0]
 
     def test_tolerance_boundary_is_exclusive(self):
-        old = build_entry("pr7", _summaries(events=100.0))
+        old = build_entry("pr7", _summaries(requests=100.0))
         exactly = build_entry(
-            "pr8", _summaries(events=100.0 * (1.0 - REGRESSION_TOLERANCE))
+            "pr8", _summaries(requests=100.0 * (1.0 - REGRESSION_TOLERANCE))
         )
         assert check_regression([old, exactly]) == []
 
@@ -154,12 +168,12 @@ class TestGateEdgeCases:
     def test_metric_only_in_previous_is_skipped(self):
         # pr8 retired the hybrid suite: its metrics exist only in pr7.
         old = build_entry("pr7", _summaries())
-        new = build_entry("pr8", {"service": {"events_per_sec": 2.0e5}})
+        new = build_entry("pr8", {"service": {"requests_per_sec": 50.0}})
         assert check_regression([old, new]) == []
 
     def test_metric_only_in_current_is_skipped(self):
         # pr8 introduced the hybrid suite: no baseline to regress from.
-        old = build_entry("pr7", {"service": {"events_per_sec": 2.0e5}})
+        old = build_entry("pr7", {"service": {"requests_per_sec": 50.0}})
         new = build_entry("pr8", _summaries())
         assert check_regression([old, new]) == []
 

@@ -35,6 +35,20 @@ class TestCrashSafeServe:
         assert first.reports == again.reports
         assert first.audit.ok and again.audit.ok
 
+    def test_zero_workers_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            crash_safe_serve(
+                str(tmp_path / "run"), default_tenants(), CONFIG, workers=0
+            )
+
+    @pytest.mark.parametrize(
+        "field", ["horizon", "quantum", "epoch", "checkpoint_cost"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ServiceConfig(**{field: value})
+
     def test_meta_mismatch_rejected(self, tmp_path):
         run = str(tmp_path / "run")
         crash_safe_serve(run, default_tenants(), CONFIG, seed=3)
@@ -128,6 +142,29 @@ class TestServeCli:
                      "--degrade-at", "1:1", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["retired_slots"] == [1]
+
+    @pytest.mark.parametrize("ticks", ["nan", "inf", "-inf", "0"])
+    def test_serve_bad_ticks_is_usage_error(self, ticks, capsys):
+        # NaN passed the old ``horizon <= 0`` check and inf never
+        # drained: both used to hang instead of exiting.
+        assert main(["serve", f"--ticks={ticks}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: horizon must be finite")
+        assert err.count("\n") == 1
+
+    def test_chaos_bad_ticks_is_usage_error(self, capsys):
+        assert main(["chaos", "--ticks", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: horizon must be finite")
+        assert err.count("\n") == 1
+
+    def test_serve_zero_workers_is_usage_error(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["serve", "--ticks", "2", "--run-dir", str(run),
+                     "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro: error: workers must be >= 1: 0\n"
+        assert not run.exists()
 
     def test_serve_bad_degrade_is_usage_error(self, capsys):
         assert main(["serve", "--ticks", "2",

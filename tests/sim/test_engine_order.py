@@ -8,7 +8,9 @@ assignment order at schedule time. This suite replays seeded random
 schedules — mixed zero and nonzero delays, scheduling from inside
 running processes — against a naive sorted-list reference kernel and
 asserts the exact firing order, so the heap specialization can never
-silently reorder ties.
+silently reorder ties.  The absolute-time yield ``At(t)`` shares the
+contract: mixed with ``Delay`` it must fire in the same order the
+reference kernel gives ``now + delay``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import At, Delay, SimulationError, Simulator
 
 
 class ReferenceKernel:
@@ -69,13 +71,16 @@ def _random_plan(seed: int, n_roots: int = 12):
     return roots, plan
 
 
-def _run_engine(roots, plan):
+def _run_engine(roots, plan, use_at=lambda label: False):
     sim = Simulator()
     fired: list[tuple[float, str]] = []
 
     def proc(label):
         delay, children = plan[label]
-        yield Delay(delay)
+        if use_at(label):
+            yield At(sim.now + delay)
+        else:
+            yield Delay(delay)
         fired.append((sim.now, label))
         for child in children:
             sim.spawn(proc(child))
@@ -108,6 +113,77 @@ def test_same_seed_same_event_order(seed):
     engine = _run_engine(roots, plan)
     reference = _run_reference(roots, plan)
     assert engine == reference
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_at_mixed_with_delay_same_event_order(seed):
+    roots, plan = _random_plan(seed)
+    # every other node resumes through At(now + delay) instead of Delay
+    engine = _run_engine(roots, plan, use_at=lambda label: int(label[1:]) % 2)
+    reference = _run_reference(roots, plan)
+    assert engine == reference
+
+
+@pytest.mark.parametrize("at_first", [True, False])
+def test_at_ties_with_delay_in_seq_order(at_first):
+    sim = Simulator()
+    fired = []
+
+    def by_at():
+        yield At(1.5)
+        fired.append("at")
+
+    def by_delay():
+        yield Delay(1.5)
+        fired.append("delay")
+
+    first, second = (by_at, by_delay) if at_first else (by_delay, by_at)
+    sim.spawn(first())
+    sim.spawn(second())
+    sim.run()
+    assert fired == (["at", "delay"] if at_first else ["delay", "at"])
+
+
+def test_at_resumes_on_the_exact_float():
+    # Delay(end - now) re-adds now and can miss end by an ulp; At cannot.
+    now, end = 0.09103770695709379, 28.59526683511123
+    assert now + (end - now) != end
+    seen = []
+    for wait in (lambda: At(end), lambda: Delay(end - now)):
+        sim = Simulator()
+
+        def proc(wait=wait):
+            yield Delay(now)
+            yield wait()
+            seen.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run()
+    assert seen == [end, now + (end - now)]
+
+
+def test_at_in_the_past_raises():
+    sim = Simulator()
+
+    def proc():
+        yield Delay(2.0)
+        yield At(1.0)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="past"):
+        sim.run()
+
+
+def test_at_nan_raises():
+    sim = Simulator()
+
+    def proc():
+        yield At(float("nan"))
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run()
+    assert sim.now == 0.0
 
 
 def test_zero_delay_fifo_among_themselves():
