@@ -20,7 +20,6 @@ from .report import generate_report
 from .tables import format_value, render_comparison, render_table
 from .validate import (
     ValidationReport,
-    expected_frtr_total,
     expected_prtr_pipeline_total,
     relative_error,
     validate_frtr,
@@ -35,7 +34,6 @@ __all__ = [
     "availability",
     "cross_validate",
     "effective_speedup_under_faults",
-    "expected_frtr_total",
     "expected_prtr_pipeline_total",
     "find_crossover",
     "fit_icap_handshake",

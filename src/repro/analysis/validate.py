@@ -29,7 +29,6 @@ from ..rtr.events import RunResult
 
 __all__ = [
     "ValidationReport",
-    "expected_frtr_total",
     "expected_prtr_pipeline_total",
     "validate_frtr",
     "validate_prtr",
@@ -42,18 +41,6 @@ def relative_error(measured: float, expected: float) -> float:
     if expected == 0:
         return 0.0 if measured == 0 else np.inf
     return abs(measured - expected) / abs(expected)
-
-
-def expected_frtr_total(
-    result: RunResult, t_frtr: float, t_control: float
-) -> float:
-    """Eq. (1) evaluated with the run's own per-call task times."""
-    task_total = sum(
-        r.stage_time - t_frtr - t_control for r in result.records
-    )
-    # Equivalent closed form, kept explicit for clarity:
-    n = result.n_calls
-    return n * (t_frtr + t_control) + task_total
 
 
 def expected_prtr_pipeline_total(

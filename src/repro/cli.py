@@ -432,6 +432,15 @@ def _parse_degrade(text: str) -> tuple[tuple[float, int], ...]:
     return tuple(out)
 
 
+def _require_counts(args: argparse.Namespace) -> None:
+    """Reject ``--replications``/``--workers`` below 1, with or without
+    ``--run-dir`` (without it both are unused, never silently clamped)."""
+    for flag in ("replications", "workers"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1: {value}")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
@@ -446,6 +455,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from .service.slo import render_report, report_json
 
+    _require_counts(args)
     tenants = (
         load_tenants(args.tenants) if args.tenants else default_tenants()
     )
@@ -565,6 +575,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .service import ServiceConfig, default_tenants, load_tenants
     from .service.slo import render_report
 
+    _require_counts(args)
     if args.list_scenarios:
         width = max(len(name) for name in scenario_names())
         for name in scenario_names():

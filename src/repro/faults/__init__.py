@@ -22,7 +22,6 @@ bit-identical to the fault-free baseline (a test pins this).
 from .detection import CrcChecker, ScrubCycle, Scrubber
 from .errors import (
     BladeDegraded,
-    ConfigMemoryUpset,
     DomainOutage,
     ReconfigurationFault,
     TransferCorruption,
@@ -40,7 +39,6 @@ from .recovery import (
 
 __all__ = [
     "BladeDegraded",
-    "ConfigMemoryUpset",
     "CrcChecker",
     "DegradePolicy",
     "DomainOutage",

@@ -16,7 +16,6 @@ __all__ = [
     "ReconfigurationFault",
     "TransferCorruption",
     "WriteAbort",
-    "ConfigMemoryUpset",
     "BladeDegraded",
     "DomainOutage",
 ]
@@ -32,10 +31,6 @@ class TransferCorruption(ReconfigurationFault):
 
 class WriteAbort(ReconfigurationFault):
     """A configuration write aborted mid-chunk (ICAP or vendor port)."""
-
-
-class ConfigMemoryUpset(ReconfigurationFault):
-    """A single-event upset flipped frames of a configured region."""
 
 
 class DomainOutage(ReconfigurationFault):

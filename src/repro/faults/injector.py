@@ -22,6 +22,15 @@ deterministic too; same seed + same workload → bit-identical fault
 realizations.  Rates that are exactly zero never consume a draw, so a
 zero-rate injector leaves the stream untouched and any run with it is
 bit-identical to a run with no injector at all.
+
+The call order is that of the per-chunk reference model even where a
+macro step replaces it: the macro-event ICAP configure takes all of
+one configuration's draws at the ICAP grant, in the order the chunk
+processes would take them, instead of spread over the simulated time
+they span.  The stream is then the same provided no other process
+draws from it before that configuration ends; a :class:`DrawGuard`
+turns any such draw into a :class:`~repro.sim.engine.SimulationError`
+rather than a silently different realization.
 """
 
 from __future__ import annotations
@@ -33,8 +42,15 @@ from typing import Any
 import numpy as np
 
 from ..model.stochastic import resolve_rng
+from ..sim.engine import SimulationError
 
-__all__ = ["FaultConfig", "FaultStats", "FaultInjector", "injector_fault_free"]
+__all__ = [
+    "DrawGuard",
+    "FaultConfig",
+    "FaultStats",
+    "FaultInjector",
+    "injector_fault_free",
+]
 
 
 @dataclass(frozen=True)
@@ -218,3 +234,31 @@ def injector_fault_free(injector: Any) -> bool:
         return True
     config = getattr(injector, "config", None)
     return bool(getattr(config, "fault_free", False))
+
+
+class DrawGuard:
+    """Pins injectors' random streams over a window of simulated time.
+
+    Built right after a macro step has taken the window's draws up
+    front; :meth:`check` at the end of the window raises if any stream
+    moved since, i.e. another process drew inside the window and would
+    have interleaved with those draws on the reference path.
+    """
+
+    __slots__ = ("_marks",)
+
+    def __init__(self, *injectors: FaultInjector | None) -> None:
+        self._marks = [
+            (injector, injector.rng.bit_generator.state)
+            for injector in injectors
+            if injector is not None
+        ]
+
+    def check(self, window: str) -> None:
+        """Raise :class:`SimulationError` if a pinned stream moved."""
+        for injector, state in self._marks:
+            if injector.rng.bit_generator.state != state:
+                raise SimulationError(
+                    f"{injector!r} was drawn from inside the window of "
+                    f"{window}, whose draws were taken in advance"
+                )

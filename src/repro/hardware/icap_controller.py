@@ -19,12 +19,18 @@ mechanism behind the paper's numbers.  See
 :func:`repro.analysis.calibration.fit_icap_handshake`.
 
 The chunk pipeline has one float fold, :meth:`ConfigurePlan.end_time`.
-An uncontended configuration (fault-free injectors, an exclusive link)
-takes it as a single macro step — one :class:`~repro.sim.engine.At`
-resume instead of ~4 DES events per chunk — and the hybrid replay
-(:mod:`repro.model.hybrid`) calls the same fold.  Everything else runs
-the per-chunk processes, the reference model the macro step matches
-bit for bit (docs/PERFORMANCE.md, "Macro-event configure").
+A configuration granted an exclusive link takes it as a single macro
+step — one :class:`~repro.sim.engine.At` resume instead of ~4 DES
+events per chunk — and the hybrid replay (:mod:`repro.model.hybrid`)
+calls the same fold.  With armed injectors the step takes every fault
+draw of the per-chunk path inside the fold, in the same order, at the
+ICAP grant; it books the transfers, counters and metrics at the resume
+and raises the same fault there.  A
+:class:`~repro.faults.injector.DrawGuard` proves that no other process
+drew from those streams in between.  A busy or awaited link, or one
+carrying declared data traffic, runs the per-chunk processes: the
+reference model the macro step matches bit for bit
+(docs/PERFORMANCE.md, "Macro-event configure").
 """
 
 from __future__ import annotations
@@ -34,8 +40,12 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from ..faults.detection import CrcChecker
-from ..faults.errors import TransferCorruption, WriteAbort
-from ..faults.injector import FaultInjector, injector_fault_free
+from ..faults.errors import (
+    ReconfigurationFault,
+    TransferCorruption,
+    WriteAbort,
+)
+from ..faults.injector import DrawGuard, FaultInjector, injector_fault_free
 from ..obs import metrics as obsm
 from ..sim.engine import AllOf, At, Delay, Simulator
 from ..sim.resources import BandwidthChannel, MutexResource
@@ -124,7 +134,10 @@ class ConfigurePlan:
     prefetches: tuple[float, ...]
 
     def end_time(
-        self, t0: float, spans: list[tuple[float, float]] | None = None
+        self,
+        t0: float,
+        spans: list[tuple[float, float]] | None = None,
+        faults: _ChunkFaults | None = None,
     ) -> float:
         """End of a configuration whose link fill starts at ``t0``.
 
@@ -132,19 +145,143 @@ class ConfigurePlan:
         resume at ``max(drain end, next-chunk prefetch end)`` — drain
         and prefetch both start at the same barrier time — and finish
         with the last drain.  ``spans`` (if given) receives each link
-        transfer's ``(start, end)``.
+        transfer's ``(start, end)``.  ``faults`` (if given) takes the
+        per-chunk path's fault draws as each chunk lands in BRAM
+        (:meth:`_ChunkFaults.ready`): retransmits move the clock, and a
+        write abort or exhausted retransmits end the fold by raising.
         """
         t = t0 + self.fill
         if spans is not None:
             spans.append((t0, t))
-        drains = self.drains
-        for i, pre in enumerate(self.prefetches):
+        if faults is not None:
+            t = faults.ready(0, t)
+        idx = 0
+        for pre, drain in zip(self.prefetches, self.drains):
             t_prefetch = t + pre
             if spans is not None:
                 spans.append((t, t_prefetch))
-            t_drain = t + drains[i]
+            t_drain = t + drain
             t = t_drain if t_drain >= t_prefetch else t_prefetch
-        return t + drains[-1]
+            if faults is not None:
+                idx += 1
+                t = faults.ready(idx, t)
+        return t + self.drains[-1]
+
+
+class _Halt(Exception):
+    """Ends a fold at a fault; the :class:`_ChunkFaults` holds which."""
+
+
+class _ChunkFaults:
+    """The per-chunk path's fault draws, taken inside the plan's fold.
+
+    Draws in the reference order — ``transfer_corrupted`` per arriving
+    chunk, then its CRC verdicts and retransmits; ``chunk_aborted``
+    (and ``abort_fraction`` on a hit) per drain — and tallies what the
+    per-chunk path would book, without booking it.  A fault ends the
+    fold with :class:`_Halt`, leaving :attr:`fault` and the instant
+    :attr:`end` at which the per-chunk path raises it.
+    """
+
+    def __init__(
+        self,
+        icap: IcapController,
+        plan: ConfigurePlan,
+        bitstream: Bitstream,
+        spans: list[tuple[float, float]],
+    ) -> None:
+        self.icap = icap
+        self.plan = plan
+        self.bitstream = bitstream
+        #: the fold's link spans; retransmits are appended in order
+        self.spans = spans
+        #: ``(chunk index, is retransmit)`` of each entry of ``spans``
+        self.labels: list[tuple[int, bool]] = []
+        self.corrupted = 0
+        self.retransmits = 0
+        self.silent = 0
+        #: the fault to raise at the resume, as ``(class, message)``
+        self.fault: tuple[type[ReconfigurationFault], str] | None = None
+        #: when the fold halted: the instant the fault surfaces
+        self.end = 0.0
+
+    def ready(self, idx: int, t: float) -> float:
+        """Chunk ``idx`` lands in BRAM at ``t``; returns when it drains.
+
+        The arrival's CRC verdicts and retransmits come first, then the
+        abort draw of the drain starting right after them.
+        """
+        self.labels.append((idx, False))
+        icap = self.icap
+        link_injector = icap.in_link.injector
+        if link_injector is not None and link_injector.transfer_corrupted(
+            self.plan.sizes[idx]
+        ):
+            t = self._retransmit(idx, t)
+        injector = icap.injector
+        if injector is not None and injector.chunk_aborted():
+            self.end = t + injector.abort_fraction() * self.plan.drains[idx]
+            self.fault = (
+                WriteAbort,
+                f"ICAP write abort on chunk {idx} of {self.bitstream.name!r}",
+            )
+            raise _Halt
+        return t
+
+    def _retransmit(self, idx: int, t: float) -> float:
+        """Corrupted chunk ``idx`` arrived at ``t``: CRC, retransmits."""
+        self.corrupted += 1
+        icap = self.icap
+        link_injector = icap.in_link.injector
+        crc = icap.crc
+        injector = icap.injector or link_injector
+        if not crc.detects(injector):
+            self.silent += 1
+            return t
+        plan = self.plan
+        nbytes = plan.sizes[idx]
+        transfer = plan.fill if idx == 0 else plan.prefetches[idx - 1]
+        for _attempt in range(icap.max_chunk_retries):
+            self.retransmits += 1
+            check = crc.check_time(nbytes)
+            if check:
+                t = t + check
+            start = t
+            t = t + transfer
+            self.spans.append((start, t))
+            self.labels.append((idx, True))
+            if not link_injector.transfer_corrupted(nbytes):
+                return t
+            self.corrupted += 1
+            if not crc.detects(injector):
+                self.silent += 1
+                return t
+        self.end = t
+        self.fault = (
+            TransferCorruption,
+            f"chunk {idx} of {self.bitstream.name!r} failed CRC after "
+            f"{icap.max_chunk_retries} retransmits",
+        )
+        raise _Halt
+
+    def book(self, owner: str) -> None:
+        """Book the tallied transfers, counters and metrics."""
+        icap = self.icap
+        link = icap.in_link
+        sizes = self.plan.sizes
+        for (start, stop), (idx, rt) in zip(self.spans, self.labels):
+            label = f"{owner}:bs{idx}:rt" if rt else f"{owner}:bs{idx}"
+            link.record(start, stop, sizes[idx], label)
+        link.corrupted_count += self.corrupted
+        icap.chunk_retransmits += self.retransmits
+        icap.silent_corruptions += self.silent
+        if self.retransmits:
+            obsm.counter("repro_icap_chunk_retransmits_total").inc(
+                self.retransmits
+            )
+        if self.fault is not None and self.fault[0] is WriteAbort:
+            icap.write_aborts += 1
+            obsm.counter("repro_icap_write_aborts_total").inc()
 
 
 class IcapController:
@@ -238,8 +375,8 @@ class IcapController:
         the ICAP mutex cleanly released, leaving recovery to the caller.
 
         When :meth:`_uncontended` holds at the ICAP grant the pipeline
-        is one macro step (:meth:`_configure_macro`); otherwise the
-        per-chunk processes run (:meth:`_configure_chunked`).
+        is one macro step (:meth:`_configure_macro`), faults included;
+        otherwise the per-chunk processes run (:meth:`_configure_chunked`).
         """
         if not bitstream.is_partial:
             raise ValueError(
@@ -269,35 +406,53 @@ class IcapController:
     def _uncontended(self) -> bool:
         """May the configuration starting now take one macro step?
 
-        True when neither this controller's nor the link's injector can
-        fire and the link is :meth:`~repro.sim.resources.BandwidthChannel
+        True when the link is :meth:`~repro.sim.resources.BandwidthChannel
         .exclusive` — then no other process can observe or perturb the
         chunk pipeline before it ends.
         """
-        return (
-            injector_fault_free(self.injector)
-            and injector_fault_free(self.in_link.injector)
-            and self.in_link.exclusive()
-        )
+        return self.in_link.exclusive()
 
     def _configure_macro(
         self, bitstream: Bitstream, owner: str
     ) -> Generator[Any, Any, None]:
-        """The fault-free pipeline as one event on a reserved link.
+        """The chunk pipeline as one event on a reserved link.
 
         Folds the end time with :meth:`ConfigurePlan.end_time`, reserves
         the link until then, resumes once at that absolute time and
         books the chunk transfers the per-chunk path would have made.
+        Armed injectors draw inside the fold (:class:`_ChunkFaults`);
+        their streams are pinned by a :class:`DrawGuard` until the
+        resume, which books the tallies and raises the fault, if any.
         """
         plan = self.plan(bitstream.nbytes)
         spans: list[tuple[float, float]] = []
-        end = plan.end_time(self.sim.now, spans)
         link = self.in_link
+        if injector_fault_free(self.injector) and injector_fault_free(
+            link.injector
+        ):
+            end = plan.end_time(self.sim.now, spans)
+            link.reserve(end)
+            yield At(end)
+            link.release_reservation()
+            for idx, ((start, stop), size) in enumerate(
+                zip(spans, plan.sizes)
+            ):
+                link.record(start, stop, size, f"{owner}:bs{idx}")
+            return
+        faults = _ChunkFaults(self, plan, bitstream, spans)
+        try:
+            end = plan.end_time(self.sim.now, spans, faults)
+        except _Halt:
+            end = faults.end
+        guard = DrawGuard(self.injector, link.injector)
         link.reserve(end)
         yield At(end)
         link.release_reservation()
-        for idx, ((start, stop), size) in enumerate(zip(spans, plan.sizes)):
-            link.record(start, stop, size, f"{owner}:bs{idx}")
+        guard.check(f"configure {owner!r} of {bitstream.name!r}")
+        faults.book(owner)
+        if faults.fault is not None:
+            kind, message = faults.fault
+            raise kind(message)
 
     def _configure_chunked(
         self, bitstream: Bitstream, owner: str

@@ -46,7 +46,6 @@ __all__ = [
     "peak_x_task",
     "peak_speedup",
     "left_branch_increasing",
-    "supremum_speedup",
     "is_beneficial",
     "min_calls_for_speedup",
     "hit_ratio_required",
@@ -144,11 +143,6 @@ def peak_speedup(params: ModelParameters) -> np.ndarray:
     # formula already evaluates the x -> 0+ supremum of the right branch.
     use_kink = left_branch_increasing(params) | (p <= xd)
     return np.where(use_kink, at_kink, at_zero)
-
-
-def supremum_speedup(params: ModelParameters) -> np.ndarray:
-    """Alias of :func:`peak_speedup`: the sup over all task times."""
-    return peak_speedup(params)
 
 
 def is_beneficial(params: ModelParameters) -> np.ndarray:

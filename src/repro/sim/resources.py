@@ -113,9 +113,10 @@ class BandwidthChannel:
         Fixed latency added to every transfer (API call cost, DMA setup...).
     injector:
         Optional fault oracle (:class:`repro.faults.FaultInjector`-shaped:
-        anything with ``transfer_corrupted(nbytes) -> bool``).  Consulted
-        once per :meth:`transfer_ok` call; corrupted transfers still pay
-        their full wire time — the bytes moved, they just arrived wrong.
+        ``transfer_corrupted(nbytes) -> bool`` plus the ``rng`` a
+        macro-stepped burst pins).  Consulted once per :meth:`transfer_ok`
+        call; corrupted transfers still pay their full wire time — the
+        bytes moved, they just arrived wrong.
 
     A burst whose timing is folded in closed form (the macro-stepped
     ICAP configure) takes a :meth:`reserve` window instead of queueing

@@ -1,14 +1,17 @@
 """Macro-event ICAP configure: the same bytes as the per-chunk path.
 
-An uncontended partial configuration resumes once, at the end time
-folded by :meth:`~repro.hardware.icap_controller.ConfigurePlan.end_time`,
-instead of replaying ~4 DES events per 16 KiB chunk.  Each shadow case
+A partial configuration granted an exclusive link resumes once, at the
+end time folded by
+:meth:`~repro.hardware.icap_controller.ConfigurePlan.end_time`, instead
+of replaying ~4 DES events per 16 KiB chunk — with armed injectors too,
+whose draws the fold takes in the per-chunk order.  Each shadow case
 below runs twice — with ``IcapController._uncontended`` forced False
 (the per-chunk reference model) and as shipped — and must agree on
-results, timelines, link intervals, ICAP counters and the obs snapshot.
-Only DES event counts may differ.  The negative tests pin where the
-per-chunk path still runs, that a transfer inside a reserved window
-raises, and the documented order of an exact-time tie.
+results, timelines, link intervals, ICAP counters, injector statistics
+and random-stream state, and the obs snapshot.  Only DES event counts
+may differ.  The negative tests pin where the per-chunk path still
+runs, that a transfer or a fault draw inside a macro window raises,
+and the documented order of an exact-time tie.
 """
 
 from __future__ import annotations
@@ -17,12 +20,31 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.reliability import effective_speedup_under_faults
+from repro.analysis.reliability import (
+    effective_speedup_under_faults,
+    trace_with_hit_ratio,
+)
 from repro.chaos import build_scenario
 from repro.chaos.harness import chaos_payload
 from repro.experiments import fig9
+from repro.faults import (
+    CrcChecker,
+    DegradePolicy,
+    FallbackPolicy,
+    RetryPolicy,
+    Scrubber,
+)
+from repro.faults.errors import (
+    ReconfigurationFault,
+    TransferCorruption,
+    WriteAbort,
+)
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.hardware import PUBLISHED_TABLE2, uniform_prr_floorplan
+from repro.hardware import (
+    PUBLISHED_TABLE2,
+    icap_controller,
+    uniform_prr_floorplan,
+)
 from repro.hardware.bitstream import Bitstream
 from repro.hardware.icap_controller import IcapController
 from repro.obs import metrics as obsm
@@ -36,9 +58,17 @@ from repro.workloads.task import CallTrace, HardwareTask
 DUAL_BYTES = PUBLISHED_TABLE2["dual_prr"].bitstream_bytes
 
 
+def _injector_state(injector) -> tuple | None:
+    if injector is None:
+        return None
+    return (injector.stats.as_dict(), injector.rng.bit_generator.state)
+
+
 def _hardware_state(icap: IcapController) -> tuple:
     link = icap.in_link
     return (
+        _injector_state(icap.injector),
+        _injector_state(link.injector),
         icap.configurations,
         icap.bytes_configured,
         icap.chunk_retransmits,
@@ -67,7 +97,10 @@ def _run(fn, *, macro: bool):
         if not macro:
             mp.setattr(IcapController, "_uncontended", lambda self: False)
         with obsm.observed():
-            result = fn()
+            try:
+                result = fn()
+            except ReconfigurationFault as exc:  # fail-fast: no policy
+                result = (type(exc), str(exc))
             snapshot = obsm.snapshot()
     # the one instrument that counts DES events
     snapshot.pop("repro_run_events", None)
@@ -166,6 +199,146 @@ class TestShadowIdentity:
         assert ev_macro < ev_chunked
 
 
+POLICIES = {
+    "fallback": lambda: FallbackPolicy(max_attempts=3, backoff=0.05, cap=0.2),
+    "retry": RetryPolicy,
+    "degrade": DegradePolicy,
+    "none": lambda: None,  # fail-fast: the fault escapes the run
+}
+
+
+class TestFaultedShadowIdentity:
+    """Armed injectors: draws, retransmits, aborts, escalations."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize(
+        "coverage,check_bandwidth",
+        [(1.0, 0.0), (1.0, 50e6), (0.7, 0.0), (0.7, 50e6)],
+    )
+    @pytest.mark.parametrize("chunk_abort_rate", [0.0, 1e-3, 3e-2])
+    @pytest.mark.parametrize("transfer_ber", [0.0, 2e-6, 2e-5])
+    def test_prtr_fault_grid(
+        self, transfer_ber, chunk_abort_rate, coverage, check_bandwidth,
+        policy,
+    ):
+        config = FaultConfig(
+            transfer_ber=transfer_ber,
+            chunk_abort_rate=chunk_abort_rate,
+            seed=7,
+        )
+        crc = CrcChecker(bandwidth=check_bandwidth, coverage=coverage)
+
+        def run():
+            results = []
+            for hit_ratio in (0.0, 0.5, 0.9):
+                node = make_node(
+                    fault_injector=FaultInjector(config), crc=crc
+                )
+                executor = PrtrExecutor(
+                    node,
+                    bitstream_bytes=DUAL_BYTES,
+                    recovery=POLICIES[policy](),
+                )
+                results.append(
+                    executor.run(trace_with_hit_ratio(hit_ratio, 12, 0.1))
+                )
+            return results
+
+        ev_chunked, ev_macro = assert_shadow_identical(run)
+        assert ev_macro < ev_chunked
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            FaultConfig(chunk_abort_rate=2e-3, seed=3),
+            FaultConfig(transfer_ber=1e-5, chunk_abort_rate=5e-4, seed=4),
+        ],
+    )
+    def test_serve(self, fault):
+        config = ServiceConfig(horizon=20.0, fault=fault)
+        ev_chunked, ev_macro = assert_shadow_identical(
+            lambda: run_service(default_tenants(), config, seed=1000)
+        )
+        assert ev_macro < ev_chunked / 3
+
+    def test_sweep_des_cell(self):
+        ev_chunked, ev_macro = assert_shadow_identical(
+            lambda: effective_speedup_under_faults(
+                1e-2, 0.5, n_calls=24, hybrid="off"
+            )
+        )
+        assert ev_macro < ev_chunked / 3
+
+    @pytest.mark.parametrize("check_bandwidth", [0.0, 50e6])
+    def test_exhausted_retransmits(self, check_bandwidth):
+        # Every transfer is corrupted: the fill's retransmits run out and
+        # the fault surfaces when the last retransmit has crossed the link.
+        def scenario():
+            sim = Simulator()
+            injector = FaultInjector(FaultConfig(transfer_ber=1.0))
+            link = BandwidthChannel(
+                sim, "link.in", rate=1600e6, injector=injector
+            )
+            icap = IcapController(
+                sim, in_link=link, injector=injector,
+                crc=CrcChecker(bandwidth=check_bandwidth),
+                max_chunk_retries=2,
+            )
+            bs = Bitstream("p", DUAL_BYTES, region="prr0", kind="module")
+            raised = []
+
+            def proc():
+                yield At(0.0123)
+                try:
+                    yield from icap.configure(bs, owner="cfg")
+                except TransferCorruption as exc:
+                    raised.append((sim.now, str(exc)))
+
+            sim.spawn(proc())
+            sim.run()
+            return raised
+
+        (when, message), = assert_shadow_identical_result(scenario)
+        assert "failed CRC after 2 retransmits" in message
+        # the fill plus two retransmits, each re-verified first
+        chunk = 16 * 1024
+        check = chunk / check_bandwidth if check_bandwidth else 0.0
+        assert when == pytest.approx(
+            0.0123 + 3 * chunk / 1600e6 + 2 * check, rel=1e-12
+        )
+
+    def test_write_abort_mid_pipeline(self):
+        def scenario():
+            sim = Simulator()
+            injector = FaultInjector(FaultConfig(chunk_abort_rate=0.2))
+            link = BandwidthChannel(
+                sim, "link.in", rate=1600e6, injector=injector
+            )
+            icap = IcapController(sim, in_link=link, injector=injector)
+            bs = Bitstream("p", DUAL_BYTES, region="prr0", kind="module")
+            raised = []
+
+            def proc():
+                for _ in range(4):
+                    try:
+                        yield from icap.configure(bs, owner="cfg")
+                    except WriteAbort as exc:
+                        raised.append((sim.now, str(exc)))
+
+            sim.spawn(proc())
+            sim.run()
+            return raised
+
+        raised = assert_shadow_identical_result(scenario)
+        assert raised and all("ICAP write abort" in m for _, m in raised)
+
+
+def assert_shadow_identical_result(fn):
+    """:func:`assert_shadow_identical`, returning the shipped result."""
+    assert_shadow_identical(fn)
+    return _run(fn, macro=True)[0]
+
+
 @pytest.mark.parametrize("nbytes", [100, 16 * 1024, DUAL_BYTES])
 @pytest.mark.parametrize(
     "link_rate",
@@ -239,14 +412,34 @@ class TestChunkedPathStillRuns:
         sim.run()
         assert ends == [plan.end_time(t0)]
 
-    def test_faulted_injector_emits_chunk_events(self):
+    def test_faulted_one_event_per_attempt(self):
         injector = FaultInjector(FaultConfig(chunk_abort_rate=1e-12))
         end, icap = _one_configure(DUAL_BYTES, injector=injector)
-        n_chunks = icap.timings.n_chunks(DUAL_BYTES)
-        assert icap.sim.events_processed >= 3 * n_chunks
-        # no abort fired, so the clock still lands on the shared fold
+        assert icap.sim.events_processed == 2  # spawn + one resume
+        # no abort fired, so the clock lands on the shared fold
         assert icap.write_aborts == 0
         assert end == icap.plan(DUAL_BYTES).end_time(0.0)
+
+        # aborted attempts also resume once each
+        sim = Simulator()
+        injector = FaultInjector(FaultConfig(chunk_abort_rate=0.05, seed=1))
+        link = BandwidthChannel(sim, "link.in", rate=1600e6, injector=injector)
+        icap = IcapController(sim, in_link=link, injector=injector)
+        bs = Bitstream("p", DUAL_BYTES, region="prr0", kind="module")
+        attempts = 8
+
+        def proc():
+            for _ in range(attempts):
+                try:
+                    yield from icap.configure(bs, owner="cfg")
+                except WriteAbort:
+                    pass
+
+        sim.spawn(proc())
+        sim.run()
+        assert 0 < icap.write_aborts < attempts
+        assert icap.configurations == attempts - icap.write_aborts
+        assert sim.events_processed == 1 + attempts
 
     def test_detailed_io_emits_chunk_events(self):
         lib = {
@@ -308,6 +501,73 @@ class TestReservation:
         assert link.intervals[-1].owner == "data-in"
         assert link.intervals[-1].start == end
         link.assert_no_overlap()
+
+
+class TestDrawGuard:
+    """Another process drawing from a stream the macro step drew ahead."""
+
+    def _window(self, config: FaultConfig, intruder):
+        """Configure once with ``intruder(sim, injector, end)`` alongside."""
+        sim = Simulator()
+        injector = FaultInjector(config)
+        link = BandwidthChannel(sim, "link.in", rate=1600e6, injector=injector)
+        icap = IcapController(sim, in_link=link, injector=injector)
+        bs = Bitstream("p", DUAL_BYTES, region="prr0", kind="module")
+        end = icap.plan(DUAL_BYTES).end_time(0.0)
+
+        def cfg():
+            yield from icap.configure(bs, owner="cfg")
+
+        sim.spawn(cfg())
+        intruder(sim, injector, end)
+        sim.run()
+        return icap, end
+
+    def test_port_abort_draw_inside_window_raises(self):
+        def intruder(sim, injector, end):
+            def port():
+                yield At(1e-3)  # well inside the ~20 ms configuration
+                injector.port_aborted()
+
+            sim.spawn(port())
+
+        config = FaultConfig(chunk_abort_rate=1e-12, port_abort_rate=0.1)
+        with pytest.raises(SimulationError, match="drawn from inside"):
+            self._window(config, intruder)
+
+    def test_scrubber_sharing_the_injector_raises(self):
+        def intruder(sim, injector, end):
+            Scrubber(sim, injector, n_regions=2, interval=1e-3).start(1)
+
+        config = FaultConfig(chunk_abort_rate=1e-12, seu_rate=10.0)
+        with pytest.raises(SimulationError, match="drawn from inside"):
+            self._window(config, intruder)
+
+    def test_draw_at_window_end_is_allowed(self):
+        drawn = []
+
+        def intruder(sim, injector, end):
+            def port():
+                yield At(end)
+                drawn.append((sim.now, injector.port_aborted()))
+
+            sim.spawn(port())
+
+        config = FaultConfig(chunk_abort_rate=1e-12, port_abort_rate=0.1)
+        icap, end = self._window(config, intruder)
+        assert drawn and drawn[0][0] == end
+        assert icap.configurations == 1
+
+    @pytest.mark.parametrize("config", [None, FaultConfig()])
+    def test_fault_free_path_takes_no_snapshot(self, config, monkeypatch):
+        def no_guard(*injectors):
+            raise AssertionError("fault-free configure built a DrawGuard")
+
+        monkeypatch.setattr(icap_controller, "DrawGuard", no_guard)
+        injector = None if config is None else FaultInjector(config)
+        end, icap = _one_configure(DUAL_BYTES, injector=injector)
+        assert icap.sim.events_processed == 2
+        assert end == icap.plan(DUAL_BYTES).end_time(0.0)
 
 
 class TestTieOrder:

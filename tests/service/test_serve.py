@@ -166,6 +166,22 @@ class TestServeCli:
         assert err == "repro: error: workers must be >= 1: 0\n"
         assert not run.exists()
 
+    @pytest.mark.parametrize("verb", ["serve", "chaos"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("replications", "0"), ("replications", "-3"),
+         ("workers", "0"), ("workers", "-2")],
+    )
+    def test_bad_counts_without_run_dir_are_usage_errors(
+        self, verb, flag, value, capsys
+    ):
+        # Without --run-dir both counts used to be ignored: one
+        # replication ran and the verb exited 0.
+        assert main([verb, "--ticks", "2", f"--{flag}", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: {flag} must be >= 1: {value}\n"
+        assert captured.out == ""
+
     def test_serve_bad_degrade_is_usage_error(self, capsys):
         assert main(["serve", "--ticks", "2",
                      "--degrade-at", "nope"]) == 2
