@@ -32,7 +32,10 @@ HIT_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
 #: grid above measures nothing but process spawn — the
 #: ``grid_points_per_sec_workers4`` trajectory entry for pr8 did
 #: exactly that, which is why it sat at ~1/6 of the *serial* rate.
-PAR_RATES = (0.0, 1e-3, 0.01)
+#: Nine rates (108 points, about 0.35 s serial on a 2-vCPU x86-64 box)
+#: keep fork startup small against the work as the DES gets faster;
+#: three rates stopped doing so once one 40-call point took ~3 ms.
+PAR_RATES = (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3, 3e-3, 5e-3, 7.5e-3, 0.01)
 N_CALLS = 40
 SEED = 0
 
