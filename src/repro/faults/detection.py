@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from ..sim.engine import Delay, Process, Simulator
+from ..sim.validate import check_number
 from .injector import FaultInjector
 
 __all__ = ["CrcChecker", "Scrubber", "ScrubCycle"]
@@ -49,8 +50,7 @@ class CrcChecker:
     coverage: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth < 0:
-            raise ValueError(f"bandwidth must be >= 0: {self.bandwidth}")
+        check_number("CRC bandwidth", self.bandwidth)
         if not 0.0 <= self.coverage <= 1.0:
             raise ValueError(f"coverage must be in [0,1]: {self.coverage}")
 

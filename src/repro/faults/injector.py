@@ -30,7 +30,9 @@ processes would take them, instead of spread over the simulated time
 they span.  The stream is then the same provided no other process
 draws from it before that configuration ends; a :class:`DrawGuard`
 turns any such draw into a :class:`~repro.sim.engine.SimulationError`
-rather than a silently different realization.
+rather than a silently different realization.  When chunk aborts are
+the only draws, :func:`first_below` takes them as one block and leaves
+the generator exactly where the scalar draws would have.
 """
 
 from __future__ import annotations
@@ -43,12 +45,15 @@ import numpy as np
 
 from ..model.stochastic import resolve_rng
 from ..sim.engine import SimulationError
+from ..sim.validate import check_number
 
 __all__ = [
     "DrawGuard",
     "FaultConfig",
     "FaultStats",
     "FaultInjector",
+    "block_drawable",
+    "first_below",
     "injector_fault_free",
 ]
 
@@ -89,8 +94,7 @@ class FaultConfig:
             v = getattr(self, f)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{f} must be a probability in [0,1]: {v}")
-        if self.seu_rate < 0:
-            raise ValueError(f"seu_rate must be >= 0: {self.seu_rate}")
+        check_number("seu_rate", self.seu_rate)
 
     @property
     def fault_free(self) -> bool:
@@ -248,11 +252,14 @@ class DrawGuard:
     __slots__ = ("_marks",)
 
     def __init__(self, *injectors: FaultInjector | None) -> None:
-        self._marks = [
-            (injector, injector.rng.bit_generator.state)
-            for injector in injectors
-            if injector is not None
-        ]
+        self._marks: list[tuple[FaultInjector, dict[str, Any]]] = []
+        for injector in injectors:
+            if injector is not None and all(
+                injector is not pinned for pinned, _ in self._marks
+            ):
+                self._marks.append(
+                    (injector, injector.rng.bit_generator.state)
+                )
 
     def check(self, window: str) -> None:
         """Raise :class:`SimulationError` if a pinned stream moved."""
@@ -262,3 +269,45 @@ class DrawGuard:
                     f"{injector!r} was drawn from inside the window of "
                     f"{window}, whose draws were taken in advance"
                 )
+
+
+def block_drawable(injector: Any) -> bool:
+    """Can ``injector``'s draws be taken as a block by :func:`first_below`?
+
+    True for a :class:`FaultInjector` drawing from a PCG64 generator.
+    """
+    return (
+        isinstance(injector, FaultInjector)
+        and isinstance(injector.rng, np.random.Generator)
+        and type(injector.rng.bit_generator) is np.random.PCG64
+    )
+
+
+def first_below(rng: np.random.Generator, p: float, n: int) -> int | None:
+    """The offset of the first of ``n`` doubles below ``p``, or None.
+
+    Takes exactly the draws of ``n`` scalar ``rng.random() < p`` tests
+    that stop at the first hit, as one block: a tape.  It snapshots the
+    state, draws ``rng.random(n).tolist()``, and when it stops early
+    restores the snapshot and advances it by the draws consumed.  That
+    relies on properties of the PCG64 stream which
+    ``tests/faults/test_tape.py`` pins: a block equals as many scalar
+    draws, and ``bit_generator.advance(k)`` moves the state as ``k``
+    draws do.  ``advance`` also clears a buffered 32-bit half-draw
+    (``has_uint32``), which ``random()`` never touches, so it is put
+    back.
+    """
+    bit_generator = rng.bit_generator
+    snapshot = bit_generator.state
+    for k, u in enumerate(rng.random(n).tolist()):
+        if u < p:
+            if k + 1 < n:
+                bit_generator.state = snapshot
+                bit_generator.advance(k + 1)
+                if snapshot["has_uint32"]:
+                    state = bit_generator.state
+                    state["has_uint32"] = snapshot["has_uint32"]
+                    state["uinteger"] = snapshot["uinteger"]
+                    bit_generator.state = state
+            return k
+    return None

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs import metrics as obsm
+from ..sim.validate import check_number
 from .errors import ReconfigurationFault, TransferCorruption
 
 __all__ = [
@@ -90,9 +91,9 @@ class RecoveryPolicy:
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if backoff < 0 or cap < 0:
-            raise ValueError("backoff/cap must be >= 0")
-        if factor < 1.0:
+        check_number("backoff", backoff)
+        check_number("backoff cap", cap, finite=False)
+        if not factor >= 1.0:
             raise ValueError("backoff factor must be >= 1")
         if exhausted not in ("giveup", "fallback_full", "degrade"):
             raise ValueError(f"unknown exhausted action {exhausted!r}")

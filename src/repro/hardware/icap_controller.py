@@ -45,10 +45,17 @@ from ..faults.errors import (
     TransferCorruption,
     WriteAbort,
 )
-from ..faults.injector import DrawGuard, FaultInjector, injector_fault_free
+from ..faults.injector import (
+    DrawGuard,
+    FaultInjector,
+    block_drawable,
+    first_below,
+    injector_fault_free,
+)
 from ..obs import metrics as obsm
 from ..sim.engine import AllOf, At, Delay, Simulator
 from ..sim.resources import BandwidthChannel, MutexResource
+from ..sim.validate import check_number
 from .bitstream import Bitstream
 from .catalog import MB, MS
 
@@ -72,12 +79,10 @@ class IcapTimings:
     chunk_handshake: float
 
     def __post_init__(self) -> None:
-        if self.icap_bandwidth <= 0:
-            raise ValueError("icap_bandwidth must be positive")
+        check_number("icap_bandwidth", self.icap_bandwidth, positive=True)
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        if self.chunk_handshake < 0:
-            raise ValueError("chunk_handshake must be >= 0")
+        check_number("chunk_handshake", self.chunk_handshake)
 
     def n_chunks(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.chunk_bytes))
@@ -150,13 +155,31 @@ class ConfigurePlan:
         (:meth:`_ChunkFaults.ready`): retransmits move the clock, and a
         write abort or exhausted retransmits end the fold by raising.
         """
+        return self._fold(t0, self.prefetches, spans, faults) + self.drains[-1]
+
+    def ready_time(
+        self, t0: float, idx: int, spans: list[tuple[float, float]]
+    ) -> float:
+        """When chunk ``idx`` starts draining: :meth:`end_time`'s fold
+        stopped there (fault-free), with its link transfers in ``spans``.
+        """
+        return self._fold(t0, self.prefetches[:idx], spans, None)
+
+    def _fold(
+        self,
+        t0: float,
+        prefetches: tuple[float, ...],
+        spans: list[tuple[float, float]] | None,
+        faults: _ChunkFaults | None,
+    ) -> float:
+        """The pipeline fold through chunk ``len(prefetches)``'s arrival."""
         t = t0 + self.fill
         if spans is not None:
             spans.append((t0, t))
         if faults is not None:
             t = faults.ready(0, t)
         idx = 0
-        for pre, drain in zip(self.prefetches, self.drains):
+        for pre, drain in zip(prefetches, self.drains):
             t_prefetch = t + pre
             if spans is not None:
                 spans.append((t, t_prefetch))
@@ -165,11 +188,19 @@ class ConfigurePlan:
             if faults is not None:
                 idx += 1
                 t = faults.ready(idx, t)
-        return t + self.drains[-1]
+        return t
 
 
 class _Halt(Exception):
     """Ends a fold at a fault; the :class:`_ChunkFaults` holds which."""
+
+
+def _never_corrupts(link_injector: Any) -> bool:
+    """True if ``link_injector`` never corrupts (nor draws for) a transfer."""
+    return link_injector is None or (
+        isinstance(link_injector, FaultInjector)
+        and link_injector.config.transfer_ber == 0.0
+    )
 
 
 class _ChunkFaults:
@@ -181,6 +212,11 @@ class _ChunkFaults:
     per-chunk path would book, without booking it.  A fault ends the
     fold with :class:`_Halt`, leaving :attr:`fault` and the instant
     :attr:`end` at which the per-chunk path raises it.
+
+    When chunk aborts are the only per-chunk draws, :meth:`run` skips
+    the per-chunk hook: it scans one block of draws for the first abort
+    (:func:`~repro.faults.injector.first_below`) and folds the
+    fault-free pipeline up to that chunk.
     """
 
     def __init__(
@@ -195,8 +231,9 @@ class _ChunkFaults:
         self.bitstream = bitstream
         #: the fold's link spans; retransmits are appended in order
         self.spans = spans
-        #: ``(chunk index, is retransmit)`` of each entry of ``spans``
-        self.labels: list[tuple[int, bool]] = []
+        #: ``(chunk index, is retransmit)`` of each entry of ``spans``;
+        #: None when span ``k`` is chunk ``k``'s only transfer
+        self.labels: list[tuple[int, bool]] | None = []
         self.corrupted = 0
         self.retransmits = 0
         self.silent = 0
@@ -204,6 +241,45 @@ class _ChunkFaults:
         self.fault: tuple[type[ReconfigurationFault], str] | None = None
         #: when the fold halted: the instant the fault surfaces
         self.end = 0.0
+
+    def run(self, t0: float) -> float:
+        """Fold a configuration starting at ``t0``; returns its end.
+
+        The end is the pipeline end, or :attr:`end` if a fault halted
+        it.  Every draw is taken here, in the per-chunk path's order, and
+        each injector's stream is left where that path would leave it.
+        """
+        icap = self.icap
+        plan = self.plan
+        injector = icap.injector
+        link_injector = icap.in_link.injector
+        if _never_corrupts(link_injector) and (
+            injector is None or block_drawable(injector)
+        ):
+            # The chunk aborts are the only per-chunk draws.
+            self.labels = None
+            p = 0.0 if injector is None else injector.config.chunk_abort_rate
+            if p <= 0.0:
+                return plan.end_time(t0, self.spans)
+            idx = first_below(injector.rng, p, len(plan.drains))
+            if idx is None:
+                return plan.end_time(t0, self.spans)
+            injector.stats.chunk_aborts += 1
+            t = plan.ready_time(t0, idx, self.spans)
+            return self._abort(idx, t, injector.abort_fraction())
+        try:
+            return plan.end_time(t0, self.spans, self)
+        except _Halt:
+            return self.end
+
+    def _abort(self, idx: int, t: float, frac: float) -> float:
+        """Chunk ``idx``'s drain, started at ``t``, aborts at ``frac``."""
+        self.end = t + frac * self.plan.drains[idx]
+        self.fault = (
+            WriteAbort,
+            f"ICAP write abort on chunk {idx} of {self.bitstream.name!r}",
+        )
+        return self.end
 
     def ready(self, idx: int, t: float) -> float:
         """Chunk ``idx`` lands in BRAM at ``t``; returns when it drains.
@@ -220,11 +296,7 @@ class _ChunkFaults:
             t = self._retransmit(idx, t)
         injector = icap.injector
         if injector is not None and injector.chunk_aborted():
-            self.end = t + injector.abort_fraction() * self.plan.drains[idx]
-            self.fault = (
-                WriteAbort,
-                f"ICAP write abort on chunk {idx} of {self.bitstream.name!r}",
-            )
+            self._abort(idx, t, injector.abort_fraction())
             raise _Halt
         return t
 
@@ -268,10 +340,7 @@ class _ChunkFaults:
         """Book the tallied transfers, counters and metrics."""
         icap = self.icap
         link = icap.in_link
-        sizes = self.plan.sizes
-        for (start, stop), (idx, rt) in zip(self.spans, self.labels):
-            label = f"{owner}:bs{idx}:rt" if rt else f"{owner}:bs{idx}"
-            link.record(start, stop, sizes[idx], label)
+        link.record_burst(self.spans, owner, self.plan.sizes, self.labels)
         link.corrupted_count += self.corrupted
         icap.chunk_retransmits += self.retransmits
         icap.silent_corruptions += self.silent
@@ -434,16 +503,10 @@ class IcapController:
             link.reserve(end)
             yield At(end)
             link.release_reservation()
-            for idx, ((start, stop), size) in enumerate(
-                zip(spans, plan.sizes)
-            ):
-                link.record(start, stop, size, f"{owner}:bs{idx}")
+            link.record_burst(spans, owner, plan.sizes)
             return
         faults = _ChunkFaults(self, plan, bitstream, spans)
-        try:
-            end = plan.end_time(self.sim.now, spans, faults)
-        except _Halt:
-            end = faults.end
+        end = faults.run(self.sim.now)
         guard = DrawGuard(self.injector, link.injector)
         link.reserve(end)
         yield At(end)

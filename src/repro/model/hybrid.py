@@ -7,14 +7,14 @@ beyond the equations can fire.  This module makes that claim operational:
 * :data:`EXACTNESS_PREDICATES` names the conditions under which a grid
   point's DES makespan is provably equal (bit-for-bit, not just close) to
   a straight-line float replay of the executor's event arithmetic;
-* :func:`replay_frtr` / :func:`replay_prtr` perform that replay,
-  folding the exact same float additions the DES would perform, in the
-  exact same order — so the result is the *same Python float*, not an
-  approximation of it.  A partial configuration is not mirrored here:
-  the replay calls :meth:`repro.hardware.icap_controller.ConfigurePlan
-  .end_time`, the one chunk-pipeline fold the DES itself resumes on
-  (as a single macro event) whenever the configuration is
-  uncontended;
+* :func:`replay_frtr` / :func:`replay_prtr` perform that replay
+  without the event loop.  They call the folds the DES itself resumes
+  on — :func:`repro.rtr.frtr.call_times` per FRTR call,
+  :func:`repro.rtr.prtr.stage_times` per PRTR stage and
+  :meth:`repro.hardware.icap_controller.ConfigurePlan.end_time` per
+  partial configuration — and the executor's own residency decisions,
+  so the result is the *same Python float*, not an approximation of it,
+  and no fold has a second copy here;
 * :func:`replay_comparison_speedup` and :func:`replay_fault_point` answer
   a Figure-9 point or a rate-0 fault-grid cell without spinning up the
   event loop;
@@ -26,11 +26,12 @@ beyond the equations can fire.  This module makes that claim operational:
 
 Why the replay is exact and not merely accurate: every branch of the
 executors accumulates absolute event times as a left fold of float sums
-(``sim.now + duration`` at each dispatch), ``AllOf`` barriers resolve to
-the max of their branch end times, the fault-free recovery wrapper adds
+(``sim.now + duration`` at each dispatch, or a folded end time resumed
+on with :class:`~repro.sim.engine.At`), stage barriers resolve to the
+max of their branch end times, the fault-free recovery wrapper adds
 zero events, a zero-rate injector consumes no RNG draws, and uncontended
-mutexes grant in zero time.  Replaying the same additions in the same
-order therefore reproduces the DES clock bitwise.  The predicates below
+mutexes grant in zero time.  Calling the same folds in the same order
+therefore reproduces the DES clock bitwise.  The predicates below
 delimit precisely the configurations where "uncontended / fault-free /
 single formula per stage" holds; everywhere else the caller must fall
 back to the DES.
@@ -253,17 +254,16 @@ def replay_frtr(executor: "FrtrExecutor", trace: "CallTrace") -> float:
     """The FRTR makespan, bit-identical to ``executor.run(trace)``.
 
     Per call: one full configuration, the control transfer, the task —
-    a pure left fold of the same three additions the DES performs.
+    :func:`repro.rtr.frtr.call_times`, the fold the DES resumes on.
     """
+    from ..rtr.frtr import call_times
+
     node = executor.node
     t_config = node.full_config_time(estimated=executor.estimated)
     control = executor.control_time
     t = 0.0
     for call in trace:
-        t = t + t_config
-        if control:
-            t = t + control
-        t = t + call.task.time
+        t = call_times(t, t_config, control, call.task.time)[2]
     return t
 
 
@@ -273,18 +273,21 @@ def replay_prtr(
     """The PRTR makespan and miss count, bit-identical to the DES run.
 
     Requires every :data:`EXACTNESS_PREDICATES` entry to hold (the
-    caller checks); drives the executor's *real* cache and policy so hit
-    and eviction decisions — and therefore which stages pay a partial
-    configuration — are the executor's own.  Returns
+    caller checks).  It makes the executor's own residency decisions
+    (``_first_resident``, ``_lookahead``) on its *real* cache and policy,
+    so which stages pay a partial configuration is the executor's
+    choice, and it folds each stage with
+    :func:`repro.rtr.prtr.stage_times`, as the DES does.  Returns
     ``(total_time, n_configs)`` where ``n_configs`` counts the calls
     whose module was not resident (the :attr:`RunResult.n_configs`
     analogue).
     """
+    from ..rtr.prtr import stage_times
+
     calls = list(trace)
     n = len(calls)
     if not n:
         return 0.0, 0
-    cache = executor.cache
     control = executor.control_time
     decision = executor.decision_time
 
@@ -294,43 +297,22 @@ def replay_prtr(
     if decision:
         t = t + decision
     t = t + executor.node.full_config_time(estimated=executor.estimated)
-    cache.fill(calls[0].name)
-    hit0 = not executor.force_miss
-    if hit0:
-        cache.stats.hits += 1
-    else:
-        cache.stats.misses += 1
-    n_configs = 0 if hit0 else 1
+    n_configs = 0 if executor._first_resident(calls[0].name) else 1
 
+    lookahead = executor._lookahead
+    names = [call.name for call in calls]
+    last = n - 1
     for i, call in enumerate(calls):
-        if control:
-            t = t + control
-        # The serial task chain: the task, then the prefetch decision.
-        t_task = t + call.task.time
-        if decision:
-            t_task = t_task + decision
-        t_cfg = None
-        if i + 1 < n:
-            nxt = calls[i + 1]
-            resident = cache.contains(nxt.name)
-            is_hit = resident and not executor.force_miss
-            if is_hit:
-                cache.stats.hits += 1
-                cache.policy.on_access(nxt.name)
-            else:
-                cache.stats.misses += 1
-                n_configs += 1
-                # overlap-applicable guarantees slots > 1, so the
-                # configuration overlaps the running task.
-                if not resident:
-                    cache.fill(nxt.name, pinned={call.name})
-                t_cfg = _replay_partial_config(executor, nxt.name, t)
-        # The stage barrier: AllOf(task, config) resolves to the later
-        # branch end; a hit (or the last call) waits on the task alone.
-        if t_cfg is not None:
-            t = t_cfg if t_cfg >= t_task else t_task
+        t_ctrl, _, t_chain = stage_times(t, control, call.task.time, decision)
+        if i < last and not lookahead(names[i], names[i + 1]):
+            n_configs += 1
+            # overlap-applicable guarantees slots > 1, so the
+            # configuration overlaps the running task; the stage
+            # barrier resolves to the later branch end.
+            t_cfg = _replay_partial_config(executor, names[i + 1], t_ctrl)
+            t = t_cfg if t_cfg >= t_chain else t_chain
         else:
-            t = t_task
+            t = t_chain
     return t, n_configs
 
 

@@ -3,6 +3,13 @@
 The baseline of the whole study.  Per call: download the full bitstream
 through the vendor API (SelectMap), transfer control, run the task.  The
 run total equals Eq. (1) exactly — a property test pins this.
+
+Without a ``bitstream_source`` each call is one DES event: the
+vendor-port abort is drawn at the call start, as the reference model
+draws it, and the clean call resumes once at the end folded by
+:func:`call_times`, which :func:`repro.model.hybrid.replay_frtr` calls
+too.  With one, the reference model runs: one event per configuration,
+control transfer and task.
 """
 
 from __future__ import annotations
@@ -13,14 +20,29 @@ from ..faults.errors import TransferCorruption, WriteAbort
 from ..faults.recovery import RecoveryPolicy
 from ..hardware.node import XD1Node
 from ..obs import metrics as obsm
-from ..sim.engine import Delay, Simulator
+from ..sim.engine import At, Delay, Simulator
 from ..sim.resources import BandwidthChannel
 from ..sim.trace import Phase, Timeline
 from ..workloads.task import CallTrace
 from .events import CallRecord, RunResult
 from .resilience import resilient
 
-__all__ = ["FrtrExecutor", "PendingRun", "run_frtr"]
+__all__ = ["FrtrExecutor", "PendingRun", "call_times", "run_frtr"]
+
+
+def call_times(
+    t: float, t_config: float, control: float, task_time: float
+) -> tuple[float, float, float]:
+    """``(config end, control end, task end)`` of a call started at ``t``.
+
+    The additions the DES clock makes, in its order: the full
+    configuration, the control transfer (skipped when zero, as the
+    executor skips its ``Delay``), the task.  The executor's folded
+    call and :func:`repro.model.hybrid.replay_frtr` both call this.
+    """
+    t_cfg = t + t_config
+    t_ctrl = t_cfg + control if control else t_cfg
+    return t_cfg, t_ctrl, t_ctrl + task_time
 
 
 class PendingRun:
@@ -96,6 +118,15 @@ class FrtrExecutor:
         self.bitstream_source = bitstream_source
         self.recovery = recovery
 
+    def _macro(self) -> bool:
+        """May each call fold into one resume at its task end?
+
+        True unless a ``bitstream_source`` is set: blades fetching over
+        a shared channel on one clock keep the reference model, one
+        event per configuration, control transfer and task.
+        """
+        return self.bitstream_source is None
+
     def launch(self, trace: CallTrace, lane: str = "main") -> PendingRun:
         """Spawn the execution process; does not advance the clock."""
         sim = self.node.sim
@@ -104,6 +135,8 @@ class FrtrExecutor:
         t_config = self.node.full_config_time(estimated=self.estimated)
         full_bytes = self.node.full_image.nbytes
         start = sim.now
+        macro = self._macro()
+        control = self.control_time
 
         notes_extra: dict[str, float] = {}
 
@@ -128,7 +161,9 @@ class FrtrExecutor:
                         "failed its CRC check"
                     )
             # Full reconfiguration (the FPGA is held in reset; nothing
-            # else can run, so a plain delay is faithful).
+            # else can run, so a plain delay is faithful).  The abort is
+            # drawn at the attempt start on both paths; the folded call
+            # adds a clean write's ``t_config`` itself.
             inj = self.node.fault_injector
             if inj is not None and inj.port_aborted():
                 self.node.selectmap.write_aborts += 1
@@ -136,7 +171,17 @@ class FrtrExecutor:
                 raise WriteAbort(
                     f"vendor-port write aborted on call {call_index}"
                 )
-            yield Delay(t_config)
+            if not macro:
+                yield Delay(t_config)
+
+        def config_done(call: Any, cfg_start: float, t_cfg: float) -> None:
+            """Log the full configuration that ran over ``[cfg_start, t_cfg)``."""
+            timeline.add(
+                Phase.CONFIG, cfg_start, t_cfg, task=call.name,
+                note="full", lane=lane,
+            )
+            m_configs.inc(kind="full")
+            m_config_s.observe(t_cfg - cfg_start, kind="full")
 
         def main() -> Generator[Any, Any, None]:
             for call in trace:
@@ -174,22 +219,25 @@ class FrtrExecutor:
                     notes_extra["degraded"] = 1.0
                     notes_extra["degraded_at"] = float(call.index)
                     return
+                if macro:
+                    t_cfg, t_ctrl, t_end = call_times(
+                        sim.now, t_config, control, call.task.time
+                    )
+                    yield At(t_end)
+                    config_done(call, cfg_start, t_cfg)
+                else:
+                    t_cfg = sim.now
+                    config_done(call, cfg_start, t_cfg)
+                    if control:
+                        yield Delay(control)
+                    t_ctrl = sim.now
+                    yield Delay(call.task.time)
+                    t_end = sim.now
                 timeline.add(
-                    Phase.CONFIG, cfg_start, sim.now, task=call.name,
-                    note="full", lane=lane,
+                    Phase.CONTROL, t_cfg, t_ctrl, task=call.name, lane=lane
                 )
-                m_configs.inc(kind="full")
-                m_config_s.observe(sim.now - cfg_start, kind="full")
-                t0 = sim.now
-                if self.control_time:
-                    yield Delay(self.control_time)
                 timeline.add(
-                    Phase.CONTROL, t0, sim.now, task=call.name, lane=lane
-                )
-                t0 = sim.now
-                yield Delay(call.task.time)
-                timeline.add(
-                    Phase.TASK, t0, sim.now, task=call.name, lane=lane
+                    Phase.TASK, t_ctrl, t_end, task=call.name, lane=lane
                 )
                 records.append(
                     CallRecord(
@@ -199,7 +247,7 @@ class FrtrExecutor:
                         start=stage_start,
                         end=sim.now,
                         config_time=sim.now - stage_start
-                        - call.task.time - self.control_time,
+                        - call.task.time - control,
                         retries=outcome.retries,
                         refetches=outcome.refetches,
                         recovery_time=outcome.recovery_time,

@@ -24,6 +24,18 @@ the node's dual-channel link, and partial reconfiguration *shares the
 inbound channel* — the Section 4.1 architectural constraint (configuration
 can only overlap compute or data-out) emerges from channel serialization
 rather than being hard-coded.
+
+A stage is folded rather than spawned whenever ``detailed_io`` is off
+and no ``bitstream_source`` is set.  The task chain becomes computed end
+times (:func:`stage_times`), an overlappable miss drives the next
+call's configuration inline through the same recovery loop and
+``IcapController.configure``, and the stage resumes at the chain end
+only if that is later than the configuration's.  That is one to three
+DES events per stage instead of a spawned task and configuration
+process and a barrier.  The timeline spans come out in the order the
+spawned processes' events would have added them, exact float ties
+included; :func:`repro.model.hybrid.replay_prtr` folds the same
+:func:`stage_times` (docs/PERFORMANCE.md, "Folded stages and calls").
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from ..faults.recovery import RecoveryPolicy
 from ..hardware.bitstream import Bitstream
 from ..obs import metrics as obsm
 from ..hardware.node import XD1Node
-from ..sim.engine import AllOf, Delay, Simulator
+from ..sim.engine import AllOf, At, Delay, Simulator
 from ..sim.trace import Phase, Timeline
 from ..sim.resources import BandwidthChannel
 from ..workloads.task import CallTrace, FunctionCall
@@ -45,7 +57,78 @@ from .events import CallRecord, RunResult
 from .frtr import PendingRun
 from .resilience import ConfigOutcome, resilient
 
-__all__ = ["PrtrExecutor", "run_prtr"]
+__all__ = ["PrtrExecutor", "run_prtr", "stage_times"]
+
+
+def stage_times(
+    t: float, control: float, task_time: float, decision: float
+) -> tuple[float, float, float]:
+    """``(control end, task end, chain end)`` of a stage started at ``t``.
+
+    The additions the DES clock makes, in its order: the control
+    transfer, the task, then the prefetch decision (a zero control or
+    decision time is skipped, as the executor skips its ``Delay``).
+    The executor's folded stage and :func:`repro.model.hybrid
+    .replay_prtr` both call this.
+    """
+    t_ctrl = t + control if control else t
+    t_task = t_ctrl + task_time
+    return t_ctrl, t_task, t_task + decision if decision else t_task
+
+
+def _config_slot(
+    t_ctrl: float,
+    t_task: float,
+    t_chain: float,
+    t_cfg: float,
+    last_yield: float,
+    yields: int,
+    decision: float,
+) -> int:
+    """Where the spawned stage logs an overlapped configuration's span.
+
+    0 before the task's span, 1 between it and the decision's, 2 after
+    the decision's (there is no 2 without a decision).  The spawned
+    processes add each span when its event runs, in ``(time, seq)``
+    order, so a tie goes to the event scheduled first.  The task's end
+    is scheduled at the stage start (``t_ctrl``), before the
+    configuration's first step, so it wins a tie with the configuration
+    end.  The decision's end is scheduled at ``t_task``, the
+    configuration's end when it last yielded (``last_yield``, its
+    ``yields``-th yield).  The configuration wins that tie if it
+    yielded before the task end, or if that yield was its first: the
+    first step runs at the stage start, before the task's resume even
+    when ``t_task == t_ctrl`` (a task shorter than half an ulp of the
+    clock).
+    """
+    if t_cfg < t_task:
+        return 0
+    if decision and (
+        t_cfg < t_chain
+        or (t_cfg == t_chain and (last_yield < t_task or yields == 1))
+    ):
+        return 1
+    return 2 if decision else 1
+
+
+def _marked(
+    sim: Simulator, gen: Generator[Any, Any, Any], mark: list[Any]
+) -> Generator[Any, Any, Any]:
+    """``yield from gen``, noting when it last yielded (``mark[0]``)
+    and how often (``mark[1]``)."""
+    value = None
+    while True:
+        try:
+            target = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        mark[0] = sim.now
+        mark[1] += 1
+        try:
+            value = yield target
+        except GeneratorExit:
+            gen.close()
+            raise
 
 
 class PrtrExecutor:
@@ -128,19 +211,26 @@ class PrtrExecutor:
         #: each (re)configuration — the cluster bitstream-server model
         self.bitstream_source = bitstream_source
         self.recovery = recovery
+        self._bitstreams: dict[str, Bitstream] = {}
 
     # -- bitstream/config helpers -------------------------------------------
 
     def bitstream_for(self, module: str) -> Bitstream:
-        if self._bitstream_bytes is not None:
-            return Bitstream(
-                name=f"prr:{module}",
-                nbytes=self._bitstream_bytes,
-                region="prr0",
-                module=module,
-                kind="module",
-            )
-        return self.node.prr_bitstream(0, module)
+        """The (cached) partial bitstream that configures ``module``."""
+        bs = self._bitstreams.get(module)
+        if bs is None:
+            if self._bitstream_bytes is not None:
+                bs = Bitstream(
+                    name=f"prr:{module}",
+                    nbytes=self._bitstream_bytes,
+                    region="prr0",
+                    module=module,
+                    kind="module",
+                )
+            else:
+                bs = self.node.prr_bitstream(0, module)
+            self._bitstreams[module] = bs
+        return bs
 
     def partial_config_time(self, module: str) -> float:
         """Unloaded partial configuration time for one module."""
@@ -230,6 +320,47 @@ class PrtrExecutor:
             yield Delay(task.time)
             timeline.add(Phase.TASK, t0, sim.now, task=call.name, lane=lane)
 
+    # -- stage bookkeeping (shared with the exact replay) ---------------------
+
+    def _macro(self) -> bool:
+        """May this run fold each stage into computed times?
+
+        True unless ``detailed_io`` (task legs contend for the link) or
+        a ``bitstream_source`` (blades share a fetch channel and one
+        clock) is set.  Those runs spawn a task and a configuration
+        process per stage: the reference model the folded stage
+        reproduces.
+        """
+        return not self.detailed_io and self.bitstream_source is None
+
+    def _first_resident(self, first: str) -> bool:
+        """The startup image instantiates ``first``; is call 0 a hit?"""
+        self.cache.fill(first)
+        hit = not self.force_miss
+        if hit:
+            self.cache.stats.hits += 1
+        else:
+            self.cache.stats.misses += 1
+        return hit
+
+    def _lookahead(self, current: str, nxt: str) -> bool:
+        """The prefetch decision about ``nxt``, made while ``current`` runs.
+
+        Returns True on a hit (refreshing ``nxt``'s recency).  On a
+        miss with room to overlap, ``nxt`` takes a slot now, with
+        ``current`` pinned.
+        """
+        cache = self.cache
+        resident = cache.contains(nxt)
+        if resident and not self.force_miss:
+            cache.stats.hits += 1
+            cache.policy.on_access(nxt)
+            return True
+        cache.stats.misses += 1
+        if not resident and cache.slots > 1:
+            cache.fill(nxt, pinned={current})
+        return False
+
     # -- main run -------------------------------------------------------------
 
     def launch(self, trace: CallTrace, lane: str = "prr") -> PendingRun:
@@ -239,6 +370,9 @@ class PrtrExecutor:
         records: list[CallRecord] = []
         calls = list(trace)
         n = len(calls)
+        macro = self._macro()
+        control = self.control_time
+        decision = self.decision_time
         #: hit flag per call, decided at lookahead (residency) time
         hit: list[bool] = [False] * n
         config_attr: list[float] = [0.0] * n
@@ -258,9 +392,9 @@ class PrtrExecutor:
 
         def startup() -> Generator[Any, Any, tuple[float, ConfigOutcome]]:
             t_start = sim.now
-            if self.decision_time:
+            if decision:
                 t0 = sim.now
-                yield Delay(self.decision_time)
+                yield Delay(decision)
                 timeline.add(Phase.SETUP, t0, sim.now, note="initial decision")
             t0 = sim.now
             outcome = yield from resilient(
@@ -276,12 +410,7 @@ class PrtrExecutor:
             m_configs.inc(kind="full")
             m_config_s.observe(sim.now - t0, kind="full")
             # The full bitstream instantiates the first module in PRR 0.
-            self.cache.fill(calls[0].name)
-            hit[0] = not self.force_miss
-            if hit[0]:
-                self.cache.stats.hits += 1
-            else:
-                self.cache.stats.misses += 1
+            hit[0] = self._first_resident(calls[0].name)
             m_cache.inc(result="hit" if hit[0] else "miss")
             return sim.now - t_start, outcome
 
@@ -304,10 +433,158 @@ class PrtrExecutor:
             main_result["degraded"] = 1.0
             main_result["degraded_at"] = float(index)
 
+        def lookahead(i: int) -> bool:
+            """:meth:`_lookahead` for call ``i + 1``, counted; True on a hit."""
+            is_hit = self._lookahead(calls[i].name, calls[i + 1].name)
+            hit[i + 1] = is_hit
+            result = "hit" if is_hit else "miss"
+            m_cache.inc(result=result)
+            m_prefetch.inc(result=result)
+            return is_hit
+
+        def partial(
+            idx: int, module: str
+        ) -> Generator[Any, Any, ConfigOutcome]:
+            """Configure ``module`` for call ``idx``, recovering faults."""
+            c0 = sim.now
+            out = yield from resilient(
+                sim,
+                lambda fetch: self._configure_partial(
+                    module, owner=f"cfg{idx}", fetch=fetch
+                ),
+                self.recovery,
+                allow_fallback=True,
+            )
+            outcomes[idx] = out
+            config_attr[idx] = sim.now - c0
+            return out
+
+        def partial_done(module: str, c0: float, end: float, note: str) -> None:
+            """Log the partial configuration that ran over ``[c0, end)``."""
+            timeline.add(
+                Phase.CONFIG, c0, end, task=module, lane="icap", note=note
+            )
+            m_configs.inc(kind="partial")
+            m_config_s.observe(end - c0, kind="partial")
+
+        def spawned_stage(
+            i: int, call: FunctionCall
+        ) -> Generator[Any, Any, bool]:
+            """Stage ``i`` as concurrent processes (the reference model).
+
+            The task chain and, on an overlappable miss, the next
+            call's configuration run as their own processes, joined by
+            a barrier.  Returns whether a serial configuration follows.
+            """
+            if control:
+                t0 = sim.now
+                yield Delay(control)
+                timeline.add(Phase.CONTROL, t0, sim.now, task=call.name)
+
+            # Serial chain: the task, then the pre-fetch decision about
+            # the next call.
+            def chain() -> Generator[Any, Any, None]:
+                yield from self._task_body(call, timeline, lane=lane)
+                if decision:
+                    t0 = sim.now
+                    yield Delay(decision)
+                    timeline.add(Phase.SETUP, t0, sim.now, task=call.name)
+
+            branch_task = sim.spawn(chain(), name=f"task{i}")
+            if i + 1 < n and not lookahead(i):
+                if self.cache.slots == 1:
+                    # Single PRR: the target region is the one executing;
+                    # configure serially after the stage.
+                    yield branch_task.done
+                    return True
+                module = calls[i + 1].name
+
+                def cfg() -> Generator[Any, Any, None]:
+                    c0 = sim.now
+                    out = yield from partial(i + 1, module)
+                    if out.ok:
+                        partial_done(module, c0, sim.now, "partial")
+
+                branch_cfg = sim.spawn(cfg(), name=f"cfg{i + 1}")
+                yield AllOf([branch_task.done, branch_cfg.done])
+            else:
+                yield branch_task.done
+            return False
+
+        def macro_stage(
+            i: int, call: FunctionCall
+        ) -> Generator[Any, Any, bool]:
+            """Stage ``i`` with the task chain as computed end times.
+
+            On an overlappable miss the next call's configuration runs
+            inline from the control end.  The stage then resumes at the
+            chain end only if that is later (the barrier's max), and
+            logs the task chain's spans and the configuration's in the
+            order the reference model's events would have added them.
+            Returns whether a serial configuration follows.
+            """
+            t_start = sim.now
+            t_ctrl, t_task, t_chain = stage_times(
+                t_start, control, call.task.time, decision
+            )
+            miss = i + 1 < n and not lookahead(i)
+            if not miss or self.cache.slots == 1:
+                if t_chain > t_start:
+                    yield At(t_chain)
+                if control:
+                    timeline.add(
+                        Phase.CONTROL, t_start, t_ctrl, task=call.name
+                    )
+                chain_done(call, t_ctrl, t_task, t_chain)
+                return miss
+            if control:
+                yield At(t_ctrl)
+                timeline.add(Phase.CONTROL, t_start, t_ctrl, task=call.name)
+            module = calls[i + 1].name
+            mark = [t_ctrl, 0]
+            out = yield from _marked(sim, partial(i + 1, module), mark)
+            t_cfg = sim.now
+            if t_chain > t_cfg:
+                yield At(t_chain)
+            slot = (
+                _config_slot(
+                    t_ctrl, t_task, t_chain, t_cfg, mark[0], mark[1], decision
+                )
+                if out.ok
+                else -1
+            )
+            chain_done(call, t_ctrl, t_task, t_chain, module, t_cfg, slot)
+            return False
+
+        def chain_done(
+            call: FunctionCall,
+            t_ctrl: float,
+            t_task: float,
+            t_chain: float,
+            module: str = "",
+            t_cfg: float = 0.0,
+            slot: int = -1,
+        ) -> None:
+            """Log a computed task chain: the task, then the decision,
+            with ``module``'s configuration at ``slot`` (:func:`_config_slot`;
+            -1 for none)."""
+            if slot == 0:
+                partial_done(module, t_ctrl, t_cfg, "partial")
+            timeline.add(Phase.TASK, t_ctrl, t_task, task=call.name, lane=lane)
+            if slot == 1:
+                partial_done(module, t_ctrl, t_cfg, "partial")
+            if decision:
+                timeline.add(Phase.SETUP, t_task, t_chain, task=call.name)
+            if slot == 2:
+                partial_done(module, t_ctrl, t_cfg, "partial")
+
         def main() -> Generator[Any, Any, None]:
-            startup_proc = sim.spawn(startup(), name="prtr-startup")
-            yield startup_proc.done
-            startup_time, startup_outcome = startup_proc.result
+            if macro:
+                startup_time, startup_outcome = yield from startup()
+            else:
+                startup_proc = sim.spawn(startup(), name="prtr-startup")
+                yield startup_proc.done
+                startup_time, startup_outcome = startup_proc.result
             main_result["startup_time"] = startup_time
             main_result["startup_config"] = startup_time
             if startup_outcome.retries:
@@ -321,112 +598,16 @@ class PrtrExecutor:
                 degrade_run(0, startup_outcome)
                 return
 
+            stage = macro_stage if macro else spawned_stage
             for i, call in enumerate(calls):
                 stage_start = sim.now
-                if self.control_time:
-                    t0 = sim.now
-                    yield Delay(self.control_time)
-                    timeline.add(Phase.CONTROL, t0, sim.now, task=call.name)
-
-                # Serial chain: the task, then the pre-fetch decision
-                # about the next call.
-                def chain(
-                    call: FunctionCall = call,
-                ) -> Generator[Any, Any, None]:
-                    yield from self._task_body(call, timeline, lane=lane)
-                    if self.decision_time:
-                        t0 = sim.now
-                        yield Delay(self.decision_time)
-                        timeline.add(
-                            Phase.SETUP, t0, sim.now, task=call.name
-                        )
-
-                branch_task = sim.spawn(chain(), name=f"task{i}")
-
-                branch_cfg = None
-                serial_cfg = False
-                if i + 1 < n:
-                    nxt = calls[i + 1]
-                    resident = self.cache.contains(nxt.name)
-                    is_hit = resident and not self.force_miss
-                    hit[i + 1] = is_hit
-                    m_cache.inc(result="hit" if is_hit else "miss")
-                    m_prefetch.inc(result="hit" if is_hit else "miss")
-                    if is_hit:
-                        self.cache.stats.hits += 1
-                        self.cache.policy.on_access(nxt.name)
-                    else:
-                        self.cache.stats.misses += 1
-                        overlap_possible = self.cache.slots > 1
-                        if overlap_possible:
-                            if not resident:
-                                self.cache.fill(nxt.name, pinned={call.name})
-
-                            def cfg(
-                                module: str = nxt.name, idx: int = i + 1
-                            ) -> Generator[Any, Any, None]:
-                                c0 = sim.now
-                                out = yield from resilient(
-                                    sim,
-                                    lambda fetch, m=module, o=f"cfg{idx}": (
-                                        self._configure_partial(
-                                            m, owner=o, fetch=fetch
-                                        )
-                                    ),
-                                    self.recovery,
-                                    allow_fallback=True,
-                                )
-                                outcomes[idx] = out
-                                if out.ok:
-                                    timeline.add(
-                                        Phase.CONFIG,
-                                        c0,
-                                        sim.now,
-                                        task=module,
-                                        lane="icap",
-                                        note="partial",
-                                    )
-                                    m_configs.inc(kind="partial")
-                                    m_config_s.observe(
-                                        sim.now - c0, kind="partial"
-                                    )
-                                config_attr[idx] = sim.now - c0
-
-                            branch_cfg = sim.spawn(cfg(), name=f"cfg{i+1}")
-                        else:
-                            # Single PRR: the target region is the one
-                            # executing; configure serially after the stage.
-                            serial_cfg = True
-
-                if branch_cfg is not None:
-                    yield AllOf([branch_task.done, branch_cfg.done])
-                else:
-                    yield branch_task.done
-
+                serial_cfg = yield from stage(i, call)
                 if serial_cfg:
                     nxt = calls[i + 1]
                     t0 = sim.now
-                    out = yield from resilient(
-                        sim,
-                        lambda fetch, m=nxt.name, o=f"cfg{i+1}": (
-                            self._configure_partial(m, owner=o, fetch=fetch)
-                        ),
-                        self.recovery,
-                        allow_fallback=True,
-                    )
-                    outcomes[i + 1] = out
-                    config_attr[i + 1] = sim.now - t0
+                    out = yield from partial(i + 1, nxt.name)
                     if out.ok:
-                        timeline.add(
-                            Phase.CONFIG,
-                            t0,
-                            sim.now,
-                            task=nxt.name,
-                            lane="icap",
-                            note="partial-serial",
-                        )
-                        m_configs.inc(kind="partial")
-                        m_config_s.observe(sim.now - t0, kind="partial")
+                        partial_done(nxt.name, t0, sim.now, "partial-serial")
                         if not self.cache.contains(nxt.name):
                             self.cache.fill(nxt.name)
 

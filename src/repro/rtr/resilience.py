@@ -9,7 +9,9 @@ executor can account retries/fallbacks per call record.
 
 With ``recovery=None`` the first fault propagates unchanged — fail-fast —
 which also means the fault-free path adds *zero* events or draws and runs
-bit-identical to the pre-fault executors.
+bit-identical to the pre-fault executors.  The folded PRTR stage and
+FRTR call drive their configurations through it too, inline in the
+executor's process, so a clean first try costs them no extra event.
 """
 
 from __future__ import annotations

@@ -58,8 +58,12 @@ class Delay:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimulationError(f"negative delay: {self.duration!r}")
+        # ``not >=`` so that NaN fails too: a NaN delay would set the
+        # clock to NaN, after which every later time compares false.
+        if not self.duration >= 0:
+            raise SimulationError(
+                f"negative delay: {self.duration!r} (must be a number >= 0)"
+            )
 
 
 @dataclass(frozen=True)

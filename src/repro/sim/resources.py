@@ -20,8 +20,12 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from .engine import Delay, EventSignal, SimulationError, Simulator
+from .validate import check_number
 
 __all__ = ["MutexResource", "BandwidthChannel", "Interval"]
+
+#: 2**53: integer-valued floats up to here add exactly
+_EXACT = float(2**53)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,13 @@ class BandwidthChannel:
     ICAP configure) takes a :meth:`reserve` window instead of queueing
     on the channel: any transfer that starts inside the window raises
     :class:`SimulationError` rather than silently reordering, and the
-    burst's transfers are booked afterwards through :meth:`record`.
+    burst's transfers are booked afterwards through
+    :meth:`record_burst`.  Its byte and transfer counts are booked
+    there; its :class:`Interval` records are built only when something
+    reads them (:attr:`intervals`, :meth:`utilization`,
+    :meth:`assert_no_overlap`) or a per-transfer :meth:`transfer`
+    appends after them, and come out exactly as per-transfer booking
+    would have made them.
     """
 
     def __init__(
@@ -133,10 +143,8 @@ class BandwidthChannel:
         overhead: float = 0.0,
         injector: Any | None = None,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"channel rate must be positive: {rate}")
-        if overhead < 0:
-            raise ValueError(f"channel overhead must be >= 0: {overhead}")
+        check_number("channel rate", rate, positive=True)
+        check_number("channel overhead", overhead)
         self.sim = sim
         self.name = name
         self.rate = rate
@@ -151,6 +159,10 @@ class BandwidthChannel:
         self.data_traffic = False
         #: end of the active :meth:`reserve` window (None when unreserved)
         self.reserved_until: float | None = None
+        #: :meth:`record_burst` bookings whose intervals are not built yet
+        self._bursts: list[
+            tuple[list[tuple[float, float]], str, list[tuple[int, bool]] | None]
+        ] = []
 
     def transfer_time(self, nbytes: float) -> float:
         """Pure time model for a transfer of ``nbytes`` (no queueing)."""
@@ -172,6 +184,8 @@ class BandwidthChannel:
                 f"transfer {owner!r} starts on {self.name!r} inside a "
                 f"reserved window ending at {until!r} (now={self.sim.now!r})"
             )
+        if self._bursts:
+            self._expand_bursts()
         yield from self._mutex.acquire(owner)
         try:
             yield Delay(self.transfer_time(nbytes))
@@ -225,13 +239,59 @@ class BandwidthChannel:
         """
         self.reserved_until = until
 
-    def record(
-        self, start: float, end: float, nbytes: float, owner: str
+    def record_burst(
+        self,
+        spans: list[tuple[float, float]],
+        owner: str,
+        sizes: tuple[int, ...],
+        labels: list[tuple[int, bool]] | None = None,
     ) -> None:
-        """Book one transfer moved in closed form: ``[start, end)``."""
-        self._mutex.intervals.append(Interval(start, end, owner))
-        self.bytes_moved += nbytes
-        self.transfer_count += 1
+        """Book transfers moved in closed form, one per ``[start, end)``.
+
+        Without ``labels`` span ``k`` moved chunk ``k``: ``sizes[k]``
+        bytes, owner ``f"{owner}:bs{k}"`` (a burst cut short by a fault
+        has fewer spans than chunks).  With them, span ``k`` moved
+        chunk ``labels[k] = (idx, retransmit)``, and a retransmit's
+        owner ends in ``:rt``.  The byte and transfer counts change now;
+        the intervals are built when first read.
+        """
+        if labels is not None:
+            moved = [sizes[idx] for idx, _ in labels]
+        elif len(spans) == len(sizes):
+            moved = sizes
+        else:
+            moved = sizes[: len(spans)]
+        total = sum(moved)
+        b = self.bytes_moved
+        if type(total) is int and b.is_integer() and b + total <= _EXACT:
+            # every partial sum is an integer below 2**53, so the
+            # per-transfer additions are exact and equal this one
+            self.bytes_moved = b + total
+        else:
+            for nbytes in moved:
+                b += nbytes
+            self.bytes_moved = b
+        self.transfer_count += len(spans)
+        self._bursts.append((spans, owner, labels))
+
+    def _expand_bursts(self) -> None:
+        """Build the pending bursts' intervals, in booking order."""
+        intervals = self._mutex.intervals
+        for spans, owner, labels in self._bursts:
+            if labels is None:
+                intervals.extend(
+                    Interval(start, end, f"{owner}:bs{idx}")
+                    for idx, (start, end) in enumerate(spans)
+                )
+            else:
+                intervals.extend(
+                    Interval(
+                        start, end,
+                        f"{owner}:bs{idx}:rt" if rt else f"{owner}:bs{idx}",
+                    )
+                    for (start, end), (idx, rt) in zip(spans, labels)
+                )
+        self._bursts.clear()
 
     def release_reservation(self) -> None:
         """End the :meth:`reserve` window."""
@@ -239,10 +299,17 @@ class BandwidthChannel:
 
     @property
     def intervals(self) -> list[Interval]:
+        """Every transfer's holding interval, in booking order."""
+        if self._bursts:
+            self._expand_bursts()
         return self._mutex.intervals
 
     def utilization(self, horizon: Optional[float] = None) -> float:
+        if self._bursts:
+            self._expand_bursts()
         return self._mutex.utilization(horizon)
 
     def assert_no_overlap(self) -> None:
+        if self._bursts:
+            self._expand_bursts()
         self._mutex.assert_no_overlap()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis.reliability import (
@@ -83,8 +84,13 @@ def _hardware_state(icap: IcapController) -> tuple:
     )
 
 
-def _run(fn, *, macro: bool):
-    """``fn()`` under one configure mode: (result, hardware, obs, events)."""
+#: the per-chunk reference model: every configure takes the chunked path
+CHUNKED = ((IcapController, "_uncontended"),)
+
+
+def _run(fn, *, macro: bool, reference=CHUNKED):
+    """``fn()`` as shipped (``macro``) or with every ``(class, predicate)``
+    of ``reference`` forced False: (result, hardware, obs, events)."""
     created: list[IcapController] = []
     init = IcapController.__init__
 
@@ -95,7 +101,8 @@ def _run(fn, *, macro: bool):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IcapController, "__init__", recording_init)
         if not macro:
-            mp.setattr(IcapController, "_uncontended", lambda self: False)
+            for cls, predicate in reference:
+                mp.setattr(cls, predicate, lambda self: False)
         with obsm.observed():
             try:
                 result = fn()
@@ -120,9 +127,12 @@ def _strip_events(result):
     return result
 
 
-def assert_shadow_identical(fn) -> tuple[int, int]:
-    """Run ``fn`` chunked and macro; returns (chunked, macro) events."""
-    chunked, hw_chunked, obs_chunked, ev_chunked = _run(fn, macro=False)
+def assert_shadow_identical(fn, reference=CHUNKED) -> tuple[int, int]:
+    """Run ``fn`` on the reference path and as shipped; returns their
+    event counts (reference, shipped)."""
+    chunked, hw_chunked, obs_chunked, ev_chunked = _run(
+        fn, macro=False, reference=reference
+    )
     macro, hw_macro, obs_macro, ev_macro = _run(fn, macro=True)
     assert _strip_events(macro) == _strip_events(chunked)
     assert hw_macro == hw_chunked
@@ -332,10 +342,41 @@ class TestFaultedShadowIdentity:
         raised = assert_shadow_identical_result(scenario)
         assert raised and all("ICAP write abort" in m for _, m in raised)
 
+    def test_injectors_sharing_a_generator(self):
+        # two injectors, one stream: the fold interleaves their draws
+        # as the per-chunk path does
+        def scenario():
+            sim = Simulator()
+            rng = np.random.default_rng(4)
+            link = BandwidthChannel(
+                sim, "link.in", rate=1600e6,
+                injector=FaultInjector(FaultConfig(transfer_ber=2e-5), rng),
+            )
+            icap = IcapController(
+                sim, in_link=link,
+                injector=FaultInjector(FaultConfig(chunk_abort_rate=2e-2), rng),
+                crc=CrcChecker(coverage=0.7),
+            )
+            bs = Bitstream("p", DUAL_BYTES, region="prr0", kind="module")
+            raised = []
 
-def assert_shadow_identical_result(fn):
+            def proc():
+                for _ in range(8):
+                    try:
+                        yield from icap.configure(bs, owner="cfg")
+                    except ReconfigurationFault as exc:
+                        raised.append((sim.now, str(exc)))
+
+            sim.spawn(proc())
+            sim.run()
+            return raised
+
+        assert assert_shadow_identical_result(scenario)
+
+
+def assert_shadow_identical_result(fn, reference=CHUNKED):
     """:func:`assert_shadow_identical`, returning the shipped result."""
-    assert_shadow_identical(fn)
+    assert_shadow_identical(fn, reference)
     return _run(fn, macro=True)[0]
 
 

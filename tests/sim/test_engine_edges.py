@@ -185,6 +185,26 @@ class TestNegativeDelay:
             sim.run()
 
 
+class TestNanDelay:
+    def test_nan_delay_raises_simulation_error(self):
+        with pytest.raises(SimulationError, match="negative delay: nan"):
+            Delay(float("nan"))
+
+    def test_nan_delay_inside_process_leaves_the_clock(self):
+        # accepted, it set ``now`` to NaN and the next event moved the
+        # clock back to an earlier number
+        sim = Simulator()
+
+        def proc():
+            yield Delay(1.0)
+            yield Delay(float("nan"))
+
+        sim.spawn(proc())
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.run()
+        assert sim.now == 1.0
+
+
 class TestExceptionPropagation:
     def test_process_exception_escapes_run(self):
         sim = Simulator()

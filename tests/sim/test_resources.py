@@ -168,3 +168,64 @@ class TestBandwidthChannel:
         sim.run()
         # Both finish at t=10: full overlap across channels.
         assert done == [("in", 10.0), ("out", 10.0)]
+
+
+class TestRecordBurst:
+    """Closed-form bursts: counts now, intervals built when read."""
+
+    def _channel(self):
+        sim = Simulator()
+        return sim, BandwidthChannel(sim, "link", rate=100.0)
+
+    def test_intervals_built_on_read_in_booking_order(self):
+        sim, ch = self._channel()
+        ch.record_burst([(0.0, 1.0), (1.0, 2.0)], "cfg", (100, 50))
+        ch.record_burst(
+            [(2.0, 3.0), (3.0, 4.0)], "cfg2", (100, 100),
+            labels=[(0, False), (0, True)],
+        )
+        assert ch.transfer_count == 4
+        assert ch.bytes_moved == 350.0
+        assert ch.intervals == [
+            Interval(0.0, 1.0, "cfg:bs0"),
+            Interval(1.0, 2.0, "cfg:bs1"),
+            Interval(2.0, 3.0, "cfg2:bs0"),
+            Interval(3.0, 4.0, "cfg2:bs0:rt"),
+        ]
+
+    def test_cut_short_burst_counts_its_spans_only(self):
+        _, ch = self._channel()
+        ch.record_burst([(0.0, 1.0)], "cfg", (100, 50, 25))
+        assert (ch.transfer_count, ch.bytes_moved) == (1, 100.0)
+
+    def test_transfer_appends_after_pending_bursts(self):
+        sim, ch = self._channel()
+        ch.record_burst([(0.0, 1.0)], "cfg", (100,))
+
+        def proc():
+            yield Delay(1.0)
+            yield from ch.transfer(100, "data")
+
+        sim.spawn(proc())
+        sim.run()
+        assert [iv.owner for iv in ch.intervals] == ["cfg:bs0", "data"]
+        assert ch.utilization() == pytest.approx(1.0)
+        ch.assert_no_overlap()
+
+    def test_overlap_check_sees_pending_bursts(self):
+        _, ch = self._channel()
+        ch.record_burst([(0.0, 2.0), (1.0, 3.0)], "cfg", (1, 1))
+        with pytest.raises(SimulationError, match="overlapping"):
+            ch.assert_no_overlap()
+
+    def test_non_integer_bytes_add_per_transfer(self):
+        # a fractional running total is not added to in one step: the
+        # per-transfer additions round differently
+        _, ch = self._channel()
+        ch.bytes_moved = 0.1
+        sizes = (16384,) * 25
+        ch.record_burst([(0.0, 1.0)] * 25, "cfg", sizes)
+        expected = 0.1
+        for size in sizes:
+            expected += size
+        assert ch.bytes_moved == expected
