@@ -26,10 +26,7 @@ from __future__ import annotations
 
 from ..obs import metrics as obsm
 
-__all__ = ["CircuitBreaker", "BREAKER_STATES"]
-
-#: legal breaker states, in lifecycle order
-BREAKER_STATES = ("closed", "open", "half_open")
+__all__ = ["CircuitBreaker"]
 
 
 class CircuitBreaker:

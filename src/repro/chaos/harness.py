@@ -23,17 +23,17 @@ journal bytes* as plain ``repro serve``.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
-from ..runtime.crashsafe import run_checkpointed
-from ..runtime.invariants import AuditReport, audit_chaos
-from ..runtime.journal import atomic_write_text
-from ..runtime.watchdog import Watchdog
-from ..service.runner import ServeOutcome, _audit_from_payload, crash_safe_serve
+from ..runtime.invariants import audit_chaos
+from ..service.runner import (
+    ServeOutcome,
+    crash_safe_serve,
+    run_replications,
+    service_meta,
+)
 from ..service.scheduler import ServiceResult, run_service
 from ..service.slo import percentile, slo_report
 from ..service.tenants import ServiceConfig, TenantSpec
@@ -184,49 +184,14 @@ def crash_safe_chaos(
             deadline_s=deadline_s, strict=strict, progress=progress,
             workers=workers,
         )
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1: {replications}")
-    meta = {
-        "kind": "chaos",
-        "scenario": str(scenario),
-        "tenants": [t.as_dict() for t in tenants],
-        "config": config.as_dict(),
-        "seed": int(seed),
-        "replications": int(replications),
-    }
-    if resume:
-        from ..service.runner import verify_resume_meta
-
-        verify_resume_meta(run_dir, meta)
-    watchdog = (
-        Watchdog(max_wall_s=deadline_s) if deadline_s is not None else None
-    )
-    outcome = run_checkpointed(
+    return run_replications(
         run_dir,
-        list(range(replications)),
+        {
+            **service_meta("chaos", tenants, config, seed, replications),
+            "scenario": str(scenario),
+        },
         lambda rep: run_chaos(tenants, config, seed=seed + rep),
-        key_of=lambda rep: f"rep={rep}",
-        meta=meta,
-        resume=resume,
-        watchdog=watchdog,
-        progress=progress,
-        workers=workers,
+        ChaosOutcome,
+        resume=resume, deadline_s=deadline_s, strict=strict,
+        progress=progress, workers=workers,
     )
-    audit = AuditReport()
-    for payload in outcome.results:
-        audit.merge(_audit_from_payload(payload))
-    atomic_write_text(
-        os.path.join(run_dir, "invariants.json"),
-        json.dumps(audit.as_dict(), indent=2) + "\n",
-    )
-    chaos = ChaosOutcome(
-        results=outcome.results,
-        interrupted=outcome.interrupted,
-        resumed_points=outcome.resumed_points,
-        computed_points=outcome.computed_points,
-        journal=outcome.journal,
-        merge_audit=outcome.merge_audit,
-        audit=audit,
-    )
-    audit.raise_if_strict(strict)
-    return chaos

@@ -33,7 +33,7 @@ import sys
 from typing import Callable, Sequence
 
 from .analysis import render_table, write_csv
-from .runtime.invariants import InvariantError
+from .runtime.invariants import InvariantError, set_strict
 
 __all__ = ["main", "build_parser"]
 
@@ -245,14 +245,83 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0 if all(claims.values()) else 1
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _journaled(
+    args: argparse.Namespace,
+    verb: str,
+    unit: str,
+    run: Callable[..., object],
+    render: Callable[[object], None],
+    *,
+    header: Sequence[tuple[str, str]] = (),
+    epilogue: Callable[[object], None] | None = None,
+) -> int:
+    """Run one journaled verb and report its outcome the shared way.
+
+    ``run(progress=...)`` performs the walk; ``render`` prints the
+    verb's own tables, then the run-dir/journal/audit footer follows
+    (``header`` rows first), then ``epilogue`` (CSV output).  A walk
+    cut short by ``--deadline`` exits 3 with a resume hint on stderr.
+    """
+    outcome = run(
+        progress=None if args.quiet else (lambda m: print(f"... {m}"))
+    )
+    render(outcome)
+    label = f"journaled {unit}"
+    rows = [
+        *header,
+        ("run dir", args.run_dir),
+        (label, f"{outcome.journal.n_points}"
+                f" (replayed {outcome.resumed_points},"
+                f" computed {outcome.computed_points})"),
+    ]
+    # column widths of the established footers: 17 for the sweeps,
+    # the label's own 22 for the replicated service verbs
+    width = max(17, len(label))
+    print()
+    for name, value in rows:
+        print(f"  {name:<{width}}: {value}")
+    print(f"  {outcome.audit.summary_line()}")
+    if epilogue is not None:
+        epilogue(outcome)
+    if outcome.interrupted is not None:
+        done = "work is" if unit == "points" else f"{unit} are"
+        print(
+            f"repro: {verb} interrupted ({outcome.interrupted}); "
+            f"completed {done} journaled — rerun with --resume",
+            file=sys.stderr,
+        )
+        return 3
+    return 0 if outcome.audit.ok else 1
+
+
+def _csv_by_hit_ratio(
+    args: argparse.Namespace,
+    hit_ratios: Sequence[float],
+    x_name: str,
+    xy: Callable[[object], tuple[float, float]],
+) -> Callable[[object], None]:
+    """The ``--csv`` epilogue: one series per hit ratio over the points."""
     from .analysis import series_to_csv
+
+    def write(outcome) -> None:
+        if not args.csv:
+            return
+        series = {}
+        for h in hit_ratios:
+            pts = [xy(p) for p in outcome.points if p.target_hit_ratio == h]
+            series[f"H={h:g}"] = ([x for x, _ in pts], [y for _, y in pts])
+        write_csv(args.csv, series_to_csv(series, x_name=x_name))
+        print(f"\nwrote {args.csv}")
+
+    return write
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.reliability import (
         DEFAULT_FAULT_RATES,
         DEFAULT_HIT_RATIOS,
     )
     from .runtime import crash_safe_fault_sweep
-    from .runtime.invariants import set_strict
 
     rates = (
         _parse_floats(args.rates, "rates")
@@ -264,63 +333,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.hit_ratios
         else list(DEFAULT_HIT_RATIOS)
     )
-    # --strict-invariants also arms the per-run audits inside every
-    # executor, not just the final sweep-level report.
-    previous = set_strict(args.strict_invariants)
-    try:
-        outcome = crash_safe_fault_sweep(
-            args.run_dir,
-            rates,
-            hit_ratios,
-            n_calls=args.calls,
-            task_time=args.task_time,
-            seed=args.seed,
-            resume=args.resume,
-            deadline_s=args.deadline,
-            workers=args.workers,
-            hybrid=args.hybrid,
-            progress=(
-                None if args.quiet else (lambda m: print(f"... {m}"))
-            ),
-        )
-    finally:
-        set_strict(previous)
-    print(render_table(
-        [p.as_row() for p in outcome.points],
-        title="Crash-safe fault sweep (journaled)",
-    ))
-    print()
-    print(
-        f"  run dir          : {args.run_dir}\n"
-        f"  journaled points : {outcome.journal.n_points}"
-        f" (replayed {outcome.resumed_points},"
-        f" computed {outcome.computed_points})\n"
-        f"  {outcome.audit.summary_line()}"
+    return _journaled(
+        args, "sweep", "points",
+        lambda progress: crash_safe_fault_sweep(
+            args.run_dir, rates, hit_ratios,
+            n_calls=args.calls, task_time=args.task_time, seed=args.seed,
+            resume=args.resume, deadline_s=args.deadline,
+            workers=args.workers, hybrid=args.hybrid, progress=progress,
+        ),
+        lambda outcome: print(render_table(
+            [p.as_row() for p in outcome.points],
+            title="Crash-safe fault sweep (journaled)",
+        )),
+        epilogue=_csv_by_hit_ratio(
+            args, hit_ratios, "chunk_abort_rate",
+            lambda p: (p.fault_rate, p.speedup),
+        ),
     )
-    if args.csv:
-        series = {
-            f"H={h:g}": (
-                [p.fault_rate for p in outcome.points
-                 if p.target_hit_ratio == h],
-                [p.speedup for p in outcome.points
-                 if p.target_hit_ratio == h],
-            )
-            for h in hit_ratios
-        }
-        write_csv(args.csv, series_to_csv(series, x_name="chunk_abort_rate"))
-        print(f"\nwrote {args.csv}")
-    if outcome.interrupted is not None:
-        print(
-            f"repro: sweep interrupted ({outcome.interrupted}); "
-            f"completed work is journaled — rerun with --resume",
-            file=sys.stderr,
-        )
-        return 3
-    return 0 if outcome.audit.ok else 1
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    from .analysis import series_to_csv
     from .power.contracts import (
         max_throughput_under_cap,
         min_energy_under_deadline,
@@ -331,7 +363,6 @@ def _cmd_power(args: argparse.Namespace) -> int:
         crash_safe_power_sweep,
         power_pareto_front,
     )
-    from .runtime.invariants import set_strict
 
     prr_counts = (
         [int(p) for p in _parse_floats(args.prrs, "prrs")]
@@ -343,76 +374,45 @@ def _cmd_power(args: argparse.Namespace) -> int:
         if args.hit_ratios
         else list(DEFAULT_POWER_HIT_RATIOS)
     )
-    previous = set_strict(args.strict_invariants)
-    try:
-        outcome = crash_safe_power_sweep(
-            args.run_dir,
-            prr_counts,
-            hit_ratios,
-            n_calls=args.calls,
-            task_time=args.task_time,
-            seed=args.seed,
-            resume=args.resume,
-            deadline_s=args.deadline,
-            workers=args.workers,
-            hybrid=args.hybrid,
-            progress=(
-                None if args.quiet else (lambda m: print(f"... {m}"))
-            ),
-        )
-    finally:
-        set_strict(previous)
-    print(render_table(
-        [p.as_row() for p in outcome.points],
-        title="Time-vs-energy sweep (journaled)",
-    ))
-    front = power_pareto_front(outcome.points)
-    print()
-    print(render_table(
-        [p.as_row() for p in front],
-        title="Pareto frontier (PRTR time vs energy)",
-    ))
-    contracts = []
-    if args.contract_deadline is not None:
-        contracts.append(min_energy_under_deadline(
-            outcome.points, args.contract_deadline
+
+    def render(outcome) -> None:
+        print(render_table(
+            [p.as_row() for p in outcome.points],
+            title="Time-vs-energy sweep (journaled)",
         ))
-    if args.power_cap is not None:
-        contracts.append(max_throughput_under_cap(
-            outcome.points, args.power_cap
-        ))
-    if contracts:
         print()
-        for c in contracts:
-            print(f"  {c.summary_line()}")
-    print()
-    print(
-        f"  run dir          : {args.run_dir}\n"
-        f"  journaled points : {outcome.journal.n_points}"
-        f" (replayed {outcome.resumed_points},"
-        f" computed {outcome.computed_points})\n"
-        f"  {outcome.audit.summary_line()}"
+        print(render_table(
+            [p.as_row() for p in power_pareto_front(outcome.points)],
+            title="Pareto frontier (PRTR time vs energy)",
+        ))
+        contracts = []
+        if args.contract_deadline is not None:
+            contracts.append(min_energy_under_deadline(
+                outcome.points, args.contract_deadline
+            ))
+        if args.power_cap is not None:
+            contracts.append(max_throughput_under_cap(
+                outcome.points, args.power_cap
+            ))
+        if contracts:
+            print()
+            for c in contracts:
+                print(f"  {c.summary_line()}")
+
+    return _journaled(
+        args, "power sweep", "points",
+        lambda progress: crash_safe_power_sweep(
+            args.run_dir, prr_counts, hit_ratios,
+            n_calls=args.calls, task_time=args.task_time, seed=args.seed,
+            resume=args.resume, deadline_s=args.deadline,
+            workers=args.workers, hybrid=args.hybrid, progress=progress,
+        ),
+        render,
+        epilogue=_csv_by_hit_ratio(
+            args, hit_ratios, "n_prrs",
+            lambda p: (float(p.n_prrs), p.prtr_energy_j),
+        ),
     )
-    if args.csv:
-        series = {
-            f"H={h:g}": (
-                [float(p.n_prrs) for p in outcome.points
-                 if p.target_hit_ratio == h],
-                [p.prtr_energy_j for p in outcome.points
-                 if p.target_hit_ratio == h],
-            )
-            for h in hit_ratios
-        }
-        write_csv(args.csv, series_to_csv(series, x_name="n_prrs"))
-        print(f"\nwrote {args.csv}")
-    if outcome.interrupted is not None:
-        print(
-            f"repro: power sweep interrupted ({outcome.interrupted}); "
-            f"completed work is journaled — rerun with --resume",
-            file=sys.stderr,
-        )
-        return 3
-    return 0 if outcome.audit.ok else 1
 
 
 def _parse_degrade(text: str) -> tuple[tuple[float, int], ...]:
@@ -441,10 +441,43 @@ def _require_counts(args: argparse.Namespace) -> None:
             raise ValueError(f"{flag} must be >= 1: {value}")
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _print_payload(payload: dict) -> None:
+    """Text form of one service realization: report, then resilience."""
+    from .service.slo import render_report
+
+    print(render_report(payload["report"]))
+    if "resilience" in payload:
+        print(_render_resilience(payload["resilience"]))
+
+
+def _render_replications(
+    args: argparse.Namespace, json_view: Callable[[object], object]
+) -> Callable[[object], None]:
+    """Render journaled realizations: ``json_view`` JSON, or one banner
+    and text report per replication."""
     import json
 
-    from .runtime.invariants import set_strict
+    def render(outcome) -> None:
+        if args.json:
+            print(json.dumps(json_view(outcome), sort_keys=True, indent=2))
+            return
+        for rep, payload in enumerate(outcome.results):
+            print(f"-- replication {rep} " + "-" * 50)
+            _print_payload(payload)
+
+    return render
+
+
+def _payload_exit(verb: str, payload: dict) -> int:
+    """Exit code of one unjournaled realization (3 when interrupted)."""
+    reason = payload["report"]["interrupted"]
+    if reason:
+        print(f"repro: {verb} interrupted ({reason})", file=sys.stderr)
+        return 3
+    return 0 if payload["audit"]["ok"] else 1
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (
         ServiceConfig,
         crash_safe_serve,
@@ -453,7 +486,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_service,
         serve_payload,
     )
-    from .service.slo import render_report, report_json
+    from .service.slo import report_json
 
     _require_counts(args)
     tenants = (
@@ -467,61 +500,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         prrs=args.prrs,
         power_cap_w=args.power_cap,
     )
-    previous = set_strict(args.strict_invariants)
-    try:
-        if args.run_dir:
-            outcome = crash_safe_serve(
-                args.run_dir,
-                tenants,
-                config,
-                seed=args.seed,
-                replications=args.replications,
-                resume=args.resume,
-                deadline_s=args.deadline,
-                workers=args.workers,
-                progress=(
-                    None if args.quiet else (lambda m: print(f"... {m}"))
-                ),
-            )
-            if args.json:
-                print(json.dumps(outcome.reports, sort_keys=True, indent=2))
-            else:
-                for rep, report in enumerate(outcome.reports):
-                    print(f"-- replication {rep} " + "-" * 50)
-                    print(render_report(report))
-            print(
-                f"\n  run dir               : {args.run_dir}\n"
-                f"  journaled replications: {outcome.journal.n_points}"
-                f" (replayed {outcome.resumed_points},"
-                f" computed {outcome.computed_points})\n"
-                f"  {outcome.audit.summary_line()}"
-            )
-            if outcome.interrupted is not None:
-                print(
-                    f"repro: serve interrupted ({outcome.interrupted}); "
-                    f"completed replications are journaled — rerun with "
-                    f"--resume",
-                    file=sys.stderr,
-                )
-                return 3
-            return 0 if outcome.audit.ok else 1
-        payload = serve_payload(
-            run_service(tenants, config, seed=args.seed)
+    if args.run_dir:
+        return _journaled(
+            args, "serve", "replications",
+            lambda progress: crash_safe_serve(
+                args.run_dir, tenants, config,
+                seed=args.seed, replications=args.replications,
+                resume=args.resume, deadline_s=args.deadline,
+                workers=args.workers, progress=progress,
+            ),
+            _render_replications(args, lambda outcome: outcome.reports),
         )
-        if args.json:
-            print(report_json(payload["report"]))
-        else:
-            print(render_report(payload["report"]))
-        if payload["report"]["interrupted"]:
-            print(
-                f"repro: serve interrupted "
-                f"({payload['report']['interrupted']})",
-                file=sys.stderr,
-            )
-            return 3
-        return 0 if payload["audit"]["ok"] else 1
-    finally:
-        set_strict(previous)
+    payload = serve_payload(run_service(tenants, config, seed=args.seed))
+    if args.json:
+        print(report_json(payload["report"]))
+    else:
+        _print_payload(payload)
+    return _payload_exit("serve", payload)
 
 
 def _render_resilience(resilience: dict) -> str:
@@ -571,9 +566,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .chaos import build_scenario, scenario_names
     from .chaos.harness import crash_safe_chaos, run_chaos
     from .chaos.scenarios import SCENARIOS
-    from .runtime.invariants import set_strict
-    from .service import ServiceConfig, default_tenants, load_tenants
-    from .service.slo import render_report
+    from .service import (
+        ServiceConfig,
+        default_tenants,
+        load_tenants,
+        run_service,
+        serve_payload,
+    )
 
     _require_counts(args)
     if args.list_scenarios:
@@ -594,76 +593,31 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         horizon=args.ticks, prrs=args.prrs, chaos=spec
     )
-    previous = set_strict(args.strict_invariants)
-    try:
-        if args.run_dir:
-            outcome = crash_safe_chaos(
-                args.run_dir,
-                tenants,
-                config,
-                scenario=args.scenario,
-                seed=args.seed,
-                replications=args.replications,
-                resume=args.resume,
-                deadline_s=args.deadline,
-                workers=args.workers,
-                progress=(
-                    None if args.quiet else (lambda m: print(f"... {m}"))
-                ),
-            )
-            if args.json:
-                print(json.dumps(
-                    outcome.results, sort_keys=True, indent=2
-                ))
-            else:
-                for rep, payload in enumerate(outcome.results):
-                    print(f"-- replication {rep} " + "-" * 50)
-                    print(render_report(payload["report"]))
-                    if "resilience" in payload:
-                        print(_render_resilience(payload["resilience"]))
-            print(
-                f"\n  scenario              : {args.scenario}\n"
-                f"  run dir               : {args.run_dir}\n"
-                f"  journaled replications: {outcome.journal.n_points}"
-                f" (replayed {outcome.resumed_points},"
-                f" computed {outcome.computed_points})\n"
-                f"  {outcome.audit.summary_line()}"
-            )
-            if outcome.interrupted is not None:
-                print(
-                    f"repro: chaos interrupted ({outcome.interrupted}); "
-                    f"completed replications are journaled — rerun with "
-                    f"--resume",
-                    file=sys.stderr,
-                )
-                return 3
-            return 0 if outcome.audit.ok else 1
-        if spec is None:
-            # The "none" scenario without a run dir is exactly one plain
-            # service realization — same code path as `repro serve`.
-            from .service import run_service, serve_payload
-
-            payload = serve_payload(
-                run_service(tenants, config, seed=args.seed)
-            )
-        else:
-            payload = run_chaos(tenants, config, seed=args.seed)
-        if args.json:
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            print(render_report(payload["report"]))
-            if "resilience" in payload:
-                print(_render_resilience(payload["resilience"]))
-        if payload["report"]["interrupted"]:
-            print(
-                f"repro: chaos interrupted "
-                f"({payload['report']['interrupted']})",
-                file=sys.stderr,
-            )
-            return 3
-        return 0 if payload["audit"]["ok"] else 1
-    finally:
-        set_strict(previous)
+    if args.run_dir:
+        return _journaled(
+            args, "chaos", "replications",
+            lambda progress: crash_safe_chaos(
+                args.run_dir, tenants, config,
+                scenario=args.scenario, seed=args.seed,
+                replications=args.replications, resume=args.resume,
+                deadline_s=args.deadline, workers=args.workers,
+                progress=progress,
+            ),
+            _render_replications(args, lambda outcome: outcome.results),
+            header=[("scenario", args.scenario)],
+        )
+    # The "none" scenario without a run dir is exactly one plain service
+    # realization — same code path as `repro serve`.
+    payload = (
+        serve_payload(run_service(tenants, config, seed=args.seed))
+        if spec is None
+        else run_chaos(tenants, config, seed=args.seed)
+    )
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        _print_payload(payload)
+    return _payload_exit("chaos", payload)
 
 
 def _observability_workload(n_calls: int):
@@ -895,6 +849,102 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+def _flag_groups() -> dict[str, argparse.ArgumentParser]:
+    """The flag groups shared by the grid-shaped verbs, declared once.
+
+    Each group is an argparse parent parser: ``hybrid`` (analytic fast
+    path), ``workers`` (fork workers), ``grid`` (the sweep axes and
+    sizes), ``service`` (tenants, horizon and replications) and
+    ``journal`` (run dir, resume, deadline, strict audits, progress).
+    ``journal_required`` is the same journal group with ``--run-dir``
+    mandatory, for the verbs that only exist journaled.
+    """
+    from .model.hybrid import HybridMode
+
+    def group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    hybrid = group()
+    hybrid.add_argument(
+        "--hybrid", choices=list(HybridMode.ALL), default=HybridMode.OFF,
+        help="analytic fast path: 'on' answers exactness-proven points "
+             "by closed-form replay (bit-identical, no event loop), "
+             "'verify' additionally shadow-runs a seeded sample on the "
+             "DES and fails on any mismatch (docs/PERFORMANCE.md)",
+    )
+    workers = group()
+    workers.add_argument(
+        "--workers", type=int, default=1,
+        help="fork workers for the grid points or replications "
+             "(bit-identical results); journaled runs keep one segment "
+             "journal per worker, and kill/--resume works mid-shard",
+    )
+    seeded = group()
+    seeded.add_argument("--seed", type=int, default=0)
+    grid = group(seeded)
+    grid.add_argument(
+        "--hit-ratios", type=str, default="",
+        help="comma-separated target hit ratios (default: 0,0.5,0.9)",
+    )
+    grid.add_argument("--calls", type=int, default=30)
+    grid.add_argument("--task-time", type=float, default=0.1)
+    grid.add_argument("--csv", type=str, default="")
+    service = group(seeded)
+    service.add_argument(
+        "--ticks", type=float, default=30.0, metavar="SECONDS",
+        help="simulated arrival horizon, measured from service boot "
+             "(chaos scenario events scale to it)",
+    )
+    service.add_argument(
+        "--tenants", type=str, default="",
+        help="tenant spec JSON (default: built-in gold/silver/bronze)",
+    )
+    service.add_argument(
+        "--replications", type=int, default=1,
+        help="independent realizations (replication i seeds from "
+             "seed + i); needs --run-dir for more than one",
+    )
+    service.add_argument(
+        "--json", action="store_true",
+        help="print canonical JSON instead of tables (serve: the SLO "
+             "report; chaos: the realization payload)",
+    )
+
+    def journal(required: bool) -> argparse.ArgumentParser:
+        flags = group()
+        flags.add_argument(
+            "--run-dir", type=str, required=required, default="",
+            help="directory holding the run journal (journal.jsonl); "
+                 "kill + --resume is byte-identical to an unbroken run",
+        )
+        flags.add_argument(
+            "--resume", action="store_true",
+            help="replay completed work from an existing journal",
+        )
+        flags.add_argument(
+            "--deadline", type=float, default=None, metavar="SECONDS",
+            help="wall-clock budget; on expiry completed work stays "
+                 "journaled and the run exits with code 3",
+        )
+        flags.add_argument(
+            "--strict-invariants", action="store_true",
+            help="raise on any invariant violation instead of recording "
+                 "it",
+        )
+        flags.add_argument("--quiet", action="store_true",
+                           help="suppress progress lines")
+        return flags
+
+    return {
+        "hybrid": hybrid,
+        "workers": workers,
+        "grid": grid,
+        "service": service,
+        "journal": journal(required=False),
+        "journal_required": journal(required=True),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -910,38 +960,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="Table 1: resource usage")
     sub.add_parser("table2", help="Table 2: configuration times")
 
-    from .model.hybrid import HybridMode
+    flags = _flag_groups()
 
-    hybrid_help = (
-        "analytic fast path: 'on' answers exactness-proven points by "
-        "closed-form replay (bit-identical, no event loop), 'verify' "
-        "additionally shadow-runs a seeded sample on the DES and fails "
-        "on any mismatch (docs/PERFORMANCE.md)"
+    p5 = sub.add_parser(
+        "fig5", help="Figure 5: asymptotic bounds",
+        parents=[flags["hybrid"]],
     )
-
-    p5 = sub.add_parser("fig5", help="Figure 5: asymptotic bounds")
     p5.add_argument("--x-prtr", type=float, default=0.17)
     p5.add_argument("--csv", type=str, default="")
-    p5.add_argument(
-        "--hybrid", choices=list(HybridMode.ALL), default=HybridMode.OFF,
-        help=hybrid_help,
-    )
 
-    p9 = sub.add_parser("fig9", help="Figure 9: the XD1 experiment")
+    p9 = sub.add_parser(
+        "fig9", help="Figure 9: the XD1 experiment",
+        parents=[flags["workers"], flags["hybrid"]],
+    )
     p9.add_argument(
         "--panel", choices=["estimated", "measured", "both"],
         default="both",
     )
     p9.add_argument("--calls", type=int, default=90)
     p9.add_argument("--csv", type=str, default="")
-    p9.add_argument(
-        "--workers", type=int, default=1,
-        help="fork workers for the DES points (bit-identical results)",
-    )
-    p9.add_argument(
-        "--hybrid", choices=list(HybridMode.ALL), default=HybridMode.OFF,
-        help=hybrid_help,
-    )
 
     pp = sub.add_parser("profiles", help="Figures 2-4: execution profiles")
     pp.add_argument("--width", type=int, default=72)
@@ -955,89 +992,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "ablation-granularity", help="PRR granularity ablation"
     )
+    grid = [flags["grid"], flags["workers"], flags["hybrid"]]
     pf = sub.add_parser(
-        "faults", help="effective speedup under injected faults"
+        "faults", help="effective speedup under injected faults",
+        parents=grid,
     )
     pf.add_argument(
         "--rates", type=str, default="",
         help="comma-separated chunk-abort rates (default: built-in sweep)",
     )
-    pf.add_argument(
-        "--hit-ratios", type=str, default="",
-        help="comma-separated target hit ratios (default: 0,0.5,0.9)",
-    )
-    pf.add_argument("--calls", type=int, default=30)
-    pf.add_argument("--task-time", type=float, default=0.1)
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--csv", type=str, default="")
-    pf.add_argument(
-        "--workers", type=int, default=1,
-        help="fork workers for the grid (bit-identical results)",
-    )
-    pf.add_argument(
-        "--hybrid", choices=list(HybridMode.ALL), default=HybridMode.OFF,
-        help=hybrid_help,
-    )
 
     ps = sub.add_parser(
         "sweep",
         help="crash-safe fault sweep: journaled, resumable, audited",
-    )
-    ps.add_argument(
-        "--run-dir", type=str, required=True,
-        help="directory holding the run journal (journal.jsonl)",
-    )
-    ps.add_argument(
-        "--resume", action="store_true",
-        help="replay completed points from an existing journal",
-    )
-    ps.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget; on expiry the sweep checkpoints and "
-             "exits with code 3",
-    )
-    ps.add_argument(
-        "--strict-invariants", action="store_true",
-        help="raise on any invariant violation instead of recording it",
+        parents=[flags["journal_required"], *grid],
     )
     ps.add_argument("--rates", type=str, default="",
                     help="comma-separated chunk-abort rates")
-    ps.add_argument("--hit-ratios", type=str, default="",
-                    help="comma-separated target hit ratios")
-    ps.add_argument("--calls", type=int, default=30)
-    ps.add_argument("--task-time", type=float, default=0.1)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--csv", type=str, default="")
-    ps.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the grid across fork workers, one segment journal "
-             "each; results and merged journal are bit-identical to "
-             "--workers 1, and kill/--resume works mid-shard",
-    )
-    ps.add_argument(
-        "--hybrid", choices=list(HybridMode.ALL), default=HybridMode.OFF,
-        help=hybrid_help,
-    )
-    ps.add_argument("--quiet", action="store_true",
-                    help="suppress per-point progress lines")
 
     pw = sub.add_parser(
         "power",
         help="time-vs-energy Pareto sweep over PRR counts and hit "
              "ratios: journaled, resumable, energy-conservation audited",
-    )
-    pw.add_argument(
-        "--run-dir", type=str, required=True,
-        help="directory holding the run journal (journal.jsonl)",
-    )
-    pw.add_argument(
-        "--resume", action="store_true",
-        help="replay completed points from an existing journal",
-    )
-    pw.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget; on expiry the sweep checkpoints and "
-             "exits with code 3",
+        parents=[flags["journal_required"], *grid],
     )
     pw.add_argument(
         "--contract-deadline", type=float, default=None,
@@ -1052,66 +1029,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument("--prrs", type=str, default="",
                     help="comma-separated PRR counts (default: 1,2,3,4)")
-    pw.add_argument("--hit-ratios", type=str, default="",
-                    help="comma-separated target hit ratios "
-                         "(default: 0,0.5,0.9)")
-    pw.add_argument("--calls", type=int, default=30)
-    pw.add_argument("--task-time", type=float, default=0.1)
-    pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--csv", type=str, default="")
-    pw.add_argument(
-        "--strict-invariants", action="store_true",
-        help="raise on any invariant violation instead of recording it",
-    )
-    pw.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the grid across fork workers, one segment journal "
-             "each; results and merged journal are bit-identical to "
-             "--workers 1, and kill/--resume works mid-shard",
-    )
-    pw.add_argument(
-        "--hybrid", choices=list(HybridMode.ALL), default=HybridMode.OFF,
-        help=hybrid_help,
-    )
-    pw.add_argument("--quiet", action="store_true",
-                    help="suppress per-point progress lines")
 
+    service = [flags["journal"], flags["service"], flags["workers"]]
     pv = sub.add_parser(
         "serve",
         help="multi-tenant service mode: open arrivals, admission "
              "control, preemptive PRR scheduling, per-tenant SLO report",
-    )
-    pv.add_argument(
-        "--ticks", type=float, default=30.0, metavar="SECONDS",
-        help="simulated arrival horizon, measured from service boot",
-    )
-    pv.add_argument(
-        "--tenants", type=str, default="",
-        help="tenant spec JSON (default: built-in gold/silver/bronze)",
-    )
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument(
-        "--run-dir", type=str, default="",
-        help="journal directory: enables crash-safe replications "
-             "(kill + --resume is byte-identical to an unbroken run)",
-    )
-    pv.add_argument(
-        "--resume", action="store_true",
-        help="replay completed replications from an existing journal",
-    )
-    pv.add_argument(
-        "--replications", type=int, default=1,
-        help="independent realizations (replication i seeds from "
-             "seed + i); needs --run-dir for more than one",
-    )
-    pv.add_argument(
-        "--workers", type=int, default=1,
-        help="shard replications across fork workers (bit-identical)",
-    )
-    pv.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget; on expiry exits 3 with completed "
-             "replications journaled",
+        parents=service,
     )
     pv.add_argument(
         "--no-admission", action="store_true",
@@ -1134,22 +1058,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="node power budget; arrivals whose grant would push the "
              "projected draw above it are shed with reason power_cap",
     )
-    pv.add_argument(
-        "--strict-invariants", action="store_true",
-        help="raise on any invariant violation instead of recording it",
-    )
-    pv.add_argument(
-        "--json", action="store_true",
-        help="print the canonical SLO report JSON instead of tables",
-    )
-    pv.add_argument("--quiet", action="store_true",
-                    help="suppress per-replication progress lines")
 
     pc = sub.add_parser(
         "chaos",
         help="chaos-resilient service mode: named seeded failure "
              "scenarios vs a fault-free baseline (availability, MTTR, "
              "goodput retention, tail latency under failure)",
+        parents=service,
     )
     pc.add_argument(
         "--scenario", type=str, default="compound",
@@ -1161,15 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the scenario library and exit",
     )
     pc.add_argument(
-        "--ticks", type=float, default=30.0, metavar="SECONDS",
-        help="simulated arrival horizon (scenario events scale to it)",
-    )
-    pc.add_argument(
-        "--tenants", type=str, default="",
-        help="tenant spec JSON (default: built-in gold/silver/bronze)",
-    )
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument(
         "--prrs", type=int, default=4,
         help="PRR count (chaos needs an explicit floorplan, >= 1)",
     )
@@ -1177,39 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--blades", type=int, default=2,
         help="blades the PRRs spread over (failure-domain topology)",
     )
-    pc.add_argument(
-        "--run-dir", type=str, default="",
-        help="journal directory: enables crash-safe replications "
-             "(kill + --resume is byte-identical to an unbroken run)",
-    )
-    pc.add_argument(
-        "--resume", action="store_true",
-        help="replay completed replications from an existing journal",
-    )
-    pc.add_argument(
-        "--replications", type=int, default=1,
-        help="independent realizations (replication i seeds from "
-             "seed + i); needs --run-dir for more than one",
-    )
-    pc.add_argument(
-        "--workers", type=int, default=1,
-        help="shard replications across fork workers (bit-identical)",
-    )
-    pc.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget; on expiry exits 3 with completed "
-             "replications journaled",
-    )
-    pc.add_argument(
-        "--strict-invariants", action="store_true",
-        help="raise on any invariant violation instead of recording it",
-    )
-    pc.add_argument(
-        "--json", action="store_true",
-        help="print the canonical realization payload JSON",
-    )
-    pc.add_argument("--quiet", action="store_true",
-                    help="suppress per-replication progress lines")
 
     pt = sub.add_parser(
         "trace",
@@ -1292,6 +1165,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # --strict-invariants also arms the per-run audits inside every
+    # executor, not just the verb's final report; restored on exit.
+    strict = getattr(args, "strict_invariants", None)
+    previous = set_strict(strict) if strict is not None else None
     try:
         return _COMMANDS[args.command](args)
     except InvariantError as exc:
@@ -1302,6 +1179,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # pre-existing run directories) get one line, not a traceback.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if previous is not None:
+            set_strict(previous)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -21,8 +21,6 @@ bit-identical to the fault-free baseline (a test pins this).
 
 from .detection import CrcChecker, ScrubCycle, Scrubber
 from .errors import (
-    BladeDegraded,
-    DomainOutage,
     ReconfigurationFault,
     TransferCorruption,
     WriteAbort,
@@ -38,10 +36,8 @@ from .recovery import (
 )
 
 __all__ = [
-    "BladeDegraded",
     "CrcChecker",
     "DegradePolicy",
-    "DomainOutage",
     "FallbackPolicy",
     "FaultConfig",
     "FaultInjector",

@@ -22,8 +22,6 @@ The sweep composes with the whole existing machinery:
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -336,10 +334,7 @@ def crash_safe_power_sweep(
     sweep is audited point by point (``energy-conservation``) and the
     report written to ``<run_dir>/invariants.json``.
     """
-    from ..runtime.crashsafe import SweepOutcome, run_checkpointed
-    from ..runtime.invariants import audit_power_points
-    from ..runtime.journal import atomic_write_text
-    from ..runtime.watchdog import Watchdog
+    from ..runtime import crashsafe, invariants
 
     meta = {
         "kind": "power_sweep",
@@ -352,10 +347,7 @@ def crash_safe_power_sweep(
     }
     grid = [(p, h) for p in prr_counts for h in hit_ratios]
     modes = dict(zip(grid, power_cell_modes(grid, hybrid, seed)))
-    watchdog = (
-        Watchdog(max_wall_s=deadline_s) if deadline_s is not None else None
-    )
-    outcome = run_checkpointed(
+    return crashsafe.run_checkpointed(
         run_dir,
         grid,
         lambda cell: measure_power_point(
@@ -368,23 +360,10 @@ def crash_safe_power_sweep(
         decode=lambda payload: PowerSweepPoint(**payload),
         meta=meta,
         resume=resume,
-        watchdog=watchdog,
+        deadline_s=deadline_s,
         progress=progress,
         workers=workers,
+        audit=invariants.audit_power_points,
+        strict=strict,
+        outcome_type=crashsafe.SweepOutcome,
     )
-    audit = audit_power_points(outcome.results)
-    atomic_write_text(
-        os.path.join(run_dir, "invariants.json"),
-        json.dumps(audit.as_dict(), indent=2) + "\n",
-    )
-    sweep = SweepOutcome(
-        results=outcome.results,
-        interrupted=outcome.interrupted,
-        resumed_points=outcome.resumed_points,
-        computed_points=outcome.computed_points,
-        journal=outcome.journal,
-        merge_audit=outcome.merge_audit,
-        audit=audit,
-    )
-    audit.raise_if_strict(strict)
-    return sweep

@@ -17,8 +17,11 @@ Three layers cooperate (see ``docs/MODEL.md`` section 9):
   DES run; on expiry the partial :class:`~repro.rtr.events.RunResult`
   comes back marked ``interrupted`` instead of the process hanging.
 
-Completed sweeps are audited (:mod:`repro.runtime.invariants`) and the
-report is written to ``<run_dir>/invariants.json``.
+Each walk checks resume meta field by field, audits its results
+(:mod:`repro.runtime.invariants`), writes the report to
+``<run_dir>/invariants.json``, raises under strict mode and closes its
+journal handle on every exit, so the verb wrappers hold only their meta,
+grid, point function and audit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from ..analysis.reliability import (
     effective_speedup_under_faults,
 )
 from ..obs import metrics as obsm
-from .invariants import AuditReport, audit_sweep_points
+from . import invariants
+from .invariants import AuditReport
 from .journal import (
     JournalError,
     RunJournal,
@@ -69,11 +73,95 @@ class GridOutcome:
     journal: RunJournal
     #: shard-merge audit when the walk ran in parallel, else ``None``
     merge_audit: AuditReport | None = None
+    #: the walk's ``audit`` over ``results`` (empty without one)
+    audit: AuditReport = field(default_factory=AuditReport)
 
     @property
     def complete(self) -> bool:
         """True when the run finished without watchdog interruption."""
         return self.interrupted is None
+
+
+def _meta_diff(journaled: Any, requested: Any, path: str = "") -> list[str]:
+    """Field-level differences between two journal meta trees.
+
+    Returns human-readable ``path: journaled X, requested Y`` lines;
+    an empty list means the trees are equal.  Lists of differing length
+    are reported as a length mismatch (element diffs would be noise
+    when a tenant was added or removed).
+    """
+    label = path or "<root>"
+    if isinstance(journaled, Mapping) and isinstance(requested, Mapping):
+        diffs = []
+        for key in sorted(set(journaled) | set(requested), key=str):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in requested:
+                diffs.append(
+                    f"{sub}: journaled {journaled[key]!r}, absent from "
+                    "the request"
+                )
+            elif key not in journaled:
+                diffs.append(
+                    f"{sub}: requested {requested[key]!r}, absent from "
+                    "the journal"
+                )
+            else:
+                diffs.extend(
+                    _meta_diff(journaled[key], requested[key], sub)
+                )
+        return diffs
+    if isinstance(journaled, list) and isinstance(requested, list):
+        if len(journaled) != len(requested):
+            return [
+                f"{label}: journaled {len(journaled)} entries, "
+                f"requested {len(requested)}"
+            ]
+        diffs = []
+        for i, (a, b) in enumerate(zip(journaled, requested)):
+            diffs.extend(_meta_diff(a, b, f"{path}[{i}]"))
+        return diffs
+    if journaled != requested:
+        return [f"{label}: journaled {journaled!r}, requested {requested!r}"]
+    return []
+
+
+def _open_journal(
+    run_dir: str, meta: dict[str, Any], keys: list[str], resume: bool
+) -> RunJournal:
+    """Create the run's journal, or load it and check it fits this run.
+
+    A resumed journal must carry exactly this run's ``meta`` (resuming
+    under different parameters would merge incompatible grids); the
+    error names every drifted field.  A sealed journal must already
+    hold every requested key.
+    """
+    if not resume:
+        return RunJournal.create(run_dir, meta)
+    journal = RunJournal.load(run_dir)
+    # Compare unconditionally: an empty requested meta must match an
+    # empty journaled meta, not act as a wildcard that would merge a
+    # parameterless resume into any journal.
+    if journal.meta != meta:
+        diffs = _meta_diff(journal.meta, meta)
+        shown = "; ".join(diffs[:6])
+        if len(diffs) > 6:
+            shown += f" (+{len(diffs) - 6} more)"
+        inputs = "tenant file and flags" if "tenants" in meta else "flags"
+        raise JournalError(
+            f"cannot resume {run_dir!r}: the journal meta does not match "
+            f"this invocation's parameters — {shown}. Rerun with the "
+            f"original {inputs}, or point --run-dir at a fresh directory."
+        )
+    if journal.sealed:
+        missing = [key for key in keys if not journal.has(key)]
+        if missing:
+            raise JournalError(
+                f"journal in {run_dir!r} is sealed but the requested "
+                f"grid has {len(missing)} point(s) it never recorded "
+                f"(first: {missing[0]!r}); the grids differ — start "
+                f"a fresh run directory instead of resuming"
+            )
+    return journal
 
 
 def run_checkpointed(
@@ -87,17 +175,30 @@ def run_checkpointed(
     meta: Mapping[str, Any] | None = None,
     resume: bool = False,
     watchdog: Watchdog | None = None,
+    deadline_s: float | None = None,
     progress: Callable[[str], None] | None = None,
     workers: int = 1,
+    audit: Callable[[list[Any]], AuditReport] | None = None,
+    strict: bool | None = None,
+    outcome_type: type[GridOutcome] = GridOutcome,
 ) -> GridOutcome:
     """Walk ``items`` through ``fn`` with durable per-item checkpoints.
 
-    With ``resume=True`` the journal in ``run_dir`` is loaded, its
-    ``meta`` is required to match the provided one (resuming under
-    different sweep parameters would merge incompatible grids), and
-    journaled items are decoded instead of recomputed.  The wall-clock
-    watchdog is consulted *between* items; on expiry the walk stops
-    with everything completed so far safely journaled.
+    This is the one journaled run path of every grid-shaped verb.  With
+    ``resume=True`` the journal in ``run_dir`` is loaded, its ``meta``
+    is required to match the provided one (the error names each
+    drifted field), and journaled items are decoded instead of
+    recomputed.  The wall-clock watchdog (``watchdog``, or one built
+    from ``deadline_s``) is consulted *between* items; on expiry the
+    walk stops with everything completed so far safely journaled.  The
+    journal's append handle is closed on every exit, exceptions
+    included.
+
+    ``audit`` (when given) checks the walk's results — complete or
+    not: the report lands on ``outcome.audit`` and in
+    ``<run_dir>/invariants.json``, and then raises under ``strict``
+    (see :meth:`~repro.runtime.invariants.AuditReport.raise_if_strict`).
+    ``outcome_type`` is the :class:`GridOutcome` subclass to build.
 
     ``workers > 1`` runs the walk on the sharded engine
     (:func:`repro.runtime.parallel.run_sharded`): bit-identical results
@@ -110,55 +211,72 @@ def run_checkpointed(
     meta = dict(meta or {})
     items = list(items)
     keys = [key_of(item) for item in items]
-    if resume:
-        journal = RunJournal.load(run_dir)
-        # Compare unconditionally: an empty requested meta must match an
-        # empty journaled meta, not act as a wildcard that would merge a
-        # parameterless resume into any journal.
-        if journal.meta != meta:
-            raise JournalError(
-                f"journal meta in {run_dir!r} does not match this "
-                f"sweep's parameters (journaled {journal.meta!r}, "
-                f"requested {meta!r})"
+    if watchdog is None and deadline_s is not None:
+        watchdog = Watchdog(max_wall_s=deadline_s)
+    journal = _open_journal(run_dir, meta, keys, resume)
+    try:
+        if workers > 1 and fork_available() and not journal.sealed:
+            walk = run_sharded(
+                run_dir,
+                items,
+                fn,
+                key_of=key_of,
+                encode=encode,
+                decode=decode,
+                meta=meta,
+                journal=journal,
+                workers=workers,
+                max_wall_s=(
+                    watchdog.max_wall_s if watchdog is not None else None
+                ),
+                wall_clock=(
+                    watchdog.clock if watchdog is not None else None
+                ),
+                progress=progress,
             )
-        if journal.sealed:
-            missing = [key for key in keys if not journal.has(key)]
-            if missing:
-                raise JournalError(
-                    f"journal in {run_dir!r} is sealed but the requested "
-                    f"grid has {len(missing)} point(s) it never recorded "
-                    f"(first: {missing[0]!r}); the grids differ — start "
-                    f"a fresh run directory instead of resuming"
-                )
-    else:
-        journal = RunJournal.create(run_dir, meta)
-
-    if workers > 1 and fork_available() and not journal.sealed:
-        walk = run_sharded(
-            run_dir,
-            items,
-            fn,
-            key_of=key_of,
-            encode=encode,
-            decode=decode,
-            meta=meta,
-            journal=journal,
-            workers=workers,
-            max_wall_s=(
-                watchdog.max_wall_s if watchdog is not None else None
-            ),
-            wall_clock=watchdog.clock if watchdog is not None else None,
-            progress=progress,
+            outcome = outcome_type(
+                results=walk.results,
+                interrupted=walk.interrupted,
+                resumed_points=walk.resumed_points,
+                computed_points=walk.computed_points,
+                journal=journal,
+                merge_audit=walk.merge_audit,
+            )
+        else:
+            outcome = _walk_serial(
+                run_dir, journal, items, keys, fn,
+                encode=encode, decode=decode, meta=meta, resume=resume,
+                watchdog=watchdog, progress=progress,
+                outcome_type=outcome_type,
+            )
+    finally:
+        journal.close()
+    if audit is not None:
+        outcome.audit = audit(outcome.results)
+        atomic_write_text(
+            os.path.join(run_dir, "invariants.json"),
+            json.dumps(outcome.audit.as_dict(), indent=2) + "\n",
         )
-        return GridOutcome(
-            results=walk.results,
-            interrupted=walk.interrupted,
-            resumed_points=walk.resumed_points,
-            computed_points=walk.computed_points,
-            journal=walk.journal,
-            merge_audit=walk.merge_audit,
-        )
+        outcome.audit.raise_if_strict(strict)
+    return outcome
 
+
+def _walk_serial(
+    run_dir: str,
+    journal: RunJournal,
+    items: list[Any],
+    keys: list[str],
+    fn: Callable[[Any], Any],
+    *,
+    encode: Callable[[Any], Any],
+    decode: Callable[[Any], Any],
+    meta: dict[str, Any],
+    resume: bool,
+    watchdog: Watchdog | None,
+    progress: Callable[[str], None] | None,
+    outcome_type: type[GridOutcome],
+) -> GridOutcome:
+    """The in-process walk of :func:`run_checkpointed`."""
     if watchdog is not None:
         watchdog.start()
     # Segments left behind by a killed parallel run: absorb their points
@@ -199,7 +317,7 @@ def run_checkpointed(
         journal.seal(obsm.snapshot() or None)
         for name in list_segments(run_dir).values():
             os.remove(os.path.join(run_dir, name))
-    return GridOutcome(
+    return outcome_type(
         results=results,
         interrupted=interrupted,
         resumed_points=resumed,
@@ -210,12 +328,10 @@ def run_checkpointed(
 
 @dataclass
 class SweepOutcome(GridOutcome):
-    """A checkpointed reliability sweep plus its invariant audit."""
-
-    audit: AuditReport = field(default_factory=AuditReport)
+    """A checkpointed grid sweep (reliability or power) and its audit."""
 
     @property
-    def points(self) -> list[FaultSweepPoint]:
+    def points(self) -> list[Any]:
         """The merged sweep results (alias of ``results``)."""
         return self.results
 
@@ -261,10 +377,7 @@ def crash_safe_fault_sweep(
     }
     grid = [(h, rate) for h in hit_ratios for rate in fault_rates]
     modes = dict(zip(grid, hybrid_cell_modes(grid, hybrid, seed)))
-    watchdog = (
-        Watchdog(max_wall_s=deadline_s) if deadline_s is not None else None
-    )
-    outcome = run_checkpointed(
+    return run_checkpointed(
         run_dir,
         grid,
         lambda cell: effective_speedup_under_faults(
@@ -277,26 +390,13 @@ def crash_safe_fault_sweep(
         decode=lambda payload: FaultSweepPoint(**payload),
         meta=meta,
         resume=resume,
-        watchdog=watchdog,
+        deadline_s=deadline_s,
         progress=progress,
         workers=workers,
+        audit=invariants.audit_sweep_points,
+        strict=strict,
+        outcome_type=SweepOutcome,
     )
-    audit = audit_sweep_points(outcome.results)
-    atomic_write_text(
-        os.path.join(run_dir, "invariants.json"),
-        json.dumps(audit.as_dict(), indent=2) + "\n",
-    )
-    sweep = SweepOutcome(
-        results=outcome.results,
-        interrupted=outcome.interrupted,
-        resumed_points=outcome.resumed_points,
-        computed_points=outcome.computed_points,
-        journal=outcome.journal,
-        merge_audit=outcome.merge_audit,
-        audit=audit,
-    )
-    audit.raise_if_strict(strict)
-    return sweep
 
 
 def run_interruptible(

@@ -321,26 +321,28 @@ def run_sharded(
                     segment = RunJournal.create(run_dir, meta, name=name)
                 interrupted: str | None = None
                 computed = 0
-                for pending_pos in shards[shard]:
-                    index = pending[pending_pos]
-                    key = keys[index]
-                    if segment.has(key):
-                        continue
-                    if watchdog is not None:
-                        try:
-                            watchdog.check_wall()
-                        except WatchdogExpired as exc:
-                            interrupted = str(exc)
-                            break
-                    result = fn(items[index])
-                    segment.record(key, encode(result))
-                    computed += 1
-                    if progress is not None:
-                        progress(
-                            f"{key} done (shard {shard}, "
-                            f"{segment.n_points} journaled)"
-                        )
-                segment.close()
+                try:
+                    for pending_pos in shards[shard]:
+                        index = pending[pending_pos]
+                        key = keys[index]
+                        if segment.has(key):
+                            continue
+                        if watchdog is not None:
+                            try:
+                                watchdog.check_wall()
+                            except WatchdogExpired as exc:
+                                interrupted = str(exc)
+                                break
+                        result = fn(items[index])
+                        segment.record(key, encode(result))
+                        computed += 1
+                        if progress is not None:
+                            progress(
+                                f"{key} done (shard {shard}, "
+                                f"{segment.n_points} journaled)"
+                            )
+                finally:
+                    segment.close()
                 status_queue.put(
                     {
                         "shard": shard,

@@ -12,20 +12,16 @@ shards replications across fork workers with the same guarantee.
 Each realization's journal payload is its full :func:`serve_payload`:
 the SLO report, the admission decision epochs, and the
 ``service-accounting`` audit.  The merged audit across replications is
-written to ``<run_dir>/invariants.json``.
+written to ``<run_dir>/invariants.json`` by the walk.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from ..runtime.crashsafe import GridOutcome, run_checkpointed
+from ..runtime import crashsafe
 from ..runtime.invariants import AuditReport, Violation, audit_service
-from ..runtime.journal import JournalError, RunJournal, atomic_write_text
-from ..runtime.watchdog import Watchdog
 from .scheduler import ServiceResult, run_service
 from .slo import slo_report
 from .tenants import ServiceConfig, TenantSpec
@@ -34,76 +30,7 @@ __all__ = [
     "ServeOutcome",
     "crash_safe_serve",
     "serve_payload",
-    "verify_resume_meta",
 ]
-
-
-def _meta_diff(journaled: Any, requested: Any, path: str = "") -> list[str]:
-    """Field-level differences between two journal meta trees.
-
-    Returns human-readable ``path: journaled X, requested Y`` lines;
-    an empty list means the trees are equal.  Lists of differing length
-    are reported as a length mismatch (element diffs would be noise
-    when a tenant was added or removed).
-    """
-    label = path or "<root>"
-    if isinstance(journaled, Mapping) and isinstance(requested, Mapping):
-        diffs = []
-        for key in sorted(set(journaled) | set(requested), key=str):
-            sub = f"{path}.{key}" if path else str(key)
-            if key not in requested:
-                diffs.append(
-                    f"{sub}: journaled {journaled[key]!r}, absent from "
-                    "the request"
-                )
-            elif key not in journaled:
-                diffs.append(
-                    f"{sub}: requested {requested[key]!r}, absent from "
-                    "the journal"
-                )
-            else:
-                diffs.extend(
-                    _meta_diff(journaled[key], requested[key], sub)
-                )
-        return diffs
-    if isinstance(journaled, list) and isinstance(requested, list):
-        if len(journaled) != len(requested):
-            return [
-                f"{label}: journaled {len(journaled)} entries, "
-                f"requested {len(requested)}"
-            ]
-        diffs = []
-        for i, (a, b) in enumerate(zip(journaled, requested)):
-            diffs.extend(_meta_diff(a, b, f"{path}[{i}]"))
-        return diffs
-    if journaled != requested:
-        return [f"{label}: journaled {journaled!r}, requested {requested!r}"]
-    return []
-
-
-def verify_resume_meta(run_dir: str, meta: Mapping[str, Any]) -> None:
-    """Fail a ``--resume`` up front when parameters drifted.
-
-    Loads the journal in ``run_dir`` and compares its pinned meta with
-    this invocation's, raising a :class:`~repro.runtime.journal.JournalError`
-    that names the exact fields that differ (tenant file entries, config
-    knobs, seed, replication count) — instead of the generic whole-meta
-    mismatch the checkpoint engine would raise later.
-    """
-    journal = RunJournal.load(run_dir)
-    if dict(journal.meta) == dict(meta):
-        return
-    diffs = _meta_diff(dict(journal.meta), dict(meta))
-    shown = "; ".join(diffs[:6])
-    more = len(diffs) - 6
-    if more > 0:
-        shown += f" (+{more} more)"
-    raise JournalError(
-        f"cannot resume {run_dir!r}: this invocation's parameters do "
-        f"not match the journaled run — {shown}. Rerun with the "
-        "original tenant file and flags, or point --run-dir at a "
-        "fresh directory."
-    )
 
 
 def serve_payload(result: ServiceResult) -> dict[str, Any]:
@@ -115,27 +42,83 @@ def serve_payload(result: ServiceResult) -> dict[str, Any]:
     }
 
 
-def _audit_from_payload(payload: Mapping[str, Any]) -> AuditReport:
-    """Rehydrate the audit recorded inside a journaled payload."""
-    report = AuditReport()
-    report.checked = list(payload["audit"]["checked"])
-    report.violations = [
-        Violation(v["invariant"], v["message"])
-        for v in payload["audit"]["violations"]
-    ]
-    return report
+def _audit_payloads(payloads: Sequence[Mapping[str, Any]]) -> AuditReport:
+    """Merge the audits recorded inside journaled payloads.
+
+    A resumed run replays the original verdicts instead of re-auditing.
+    """
+    merged = AuditReport()
+    for payload in payloads:
+        report = AuditReport()
+        report.checked = list(payload["audit"]["checked"])
+        report.violations = [
+            Violation(v["invariant"], v["message"])
+            for v in payload["audit"]["violations"]
+        ]
+        merged.merge(report)
+    return merged
 
 
 @dataclass
-class ServeOutcome(GridOutcome):
+class ServeOutcome(crashsafe.GridOutcome):
     """A checkpointed serve run plus its merged accounting audit."""
-
-    audit: AuditReport = field(default_factory=AuditReport)
 
     @property
     def reports(self) -> list[dict[str, Any]]:
         """The per-replication SLO reports, in replication order."""
         return [p["report"] for p in self.results]
+
+
+def run_replications(
+    run_dir: str,
+    meta: Mapping[str, Any],
+    point: Callable[[int], dict[str, Any]],
+    outcome_type: type[ServeOutcome],
+    **walk: Any,
+) -> ServeOutcome:
+    """Journal ``meta["replications"]`` payloads of ``point(rep)``.
+
+    The shared walk of ``repro serve`` and ``repro chaos``: keys are
+    ``rep=<i>`` and the audit merges each payload's recorded verdicts.
+    ``walk`` carries the :func:`~repro.runtime.crashsafe.run_checkpointed`
+    run options (``resume``, ``deadline_s``, ``strict``, ``progress``,
+    ``workers``).
+    """
+    replications = meta["replications"]
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1: {replications}")
+    return crashsafe.run_checkpointed(
+        run_dir,
+        list(range(replications)),
+        point,
+        key_of=lambda rep: f"rep={rep}",
+        meta=meta,
+        audit=_audit_payloads,
+        outcome_type=outcome_type,
+        **walk,
+    )
+
+
+def service_meta(
+    kind: str,
+    tenants: Sequence[TenantSpec],
+    config: ServiceConfig,
+    seed: int,
+    replications: int,
+) -> dict[str, Any]:
+    """The resume meta of a journaled service run.
+
+    It pins the full tenant mix, service configuration, seed and
+    replication count, so a resume under different parameters is
+    rejected instead of silently merging incompatible runs.
+    """
+    return {
+        "kind": kind,
+        "tenants": [t.as_dict() for t in tenants],
+        "config": config.as_dict(),
+        "seed": int(seed),
+        "replications": int(replications),
+    }
 
 
 def crash_safe_serve(
@@ -151,54 +134,14 @@ def crash_safe_serve(
     progress: Callable[[str], None] | None = None,
     workers: int = 1,
 ) -> ServeOutcome:
-    """Run (or resume) a journaled multi-replication service run.
-
-    The journal meta pins the full tenant mix, service configuration,
-    seed and replication count, so a resume under different parameters
-    is rejected instead of silently merging incompatible runs.
-    """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1: {replications}")
-    meta = {
-        "kind": "serve",
-        "tenants": [t.as_dict() for t in tenants],
-        "config": config.as_dict(),
-        "seed": int(seed),
-        "replications": int(replications),
-    }
-    if resume:
-        verify_resume_meta(run_dir, meta)
-    watchdog = (
-        Watchdog(max_wall_s=deadline_s) if deadline_s is not None else None
-    )
-    outcome = run_checkpointed(
+    """Run (or resume) a journaled multi-replication service run."""
+    return run_replications(
         run_dir,
-        list(range(replications)),
+        service_meta("serve", tenants, config, seed, replications),
         lambda rep: serve_payload(
             run_service(tenants, config, seed=seed + rep)
         ),
-        key_of=lambda rep: f"rep={rep}",
-        meta=meta,
-        resume=resume,
-        watchdog=watchdog,
-        progress=progress,
-        workers=workers,
+        ServeOutcome,
+        resume=resume, deadline_s=deadline_s, strict=strict,
+        progress=progress, workers=workers,
     )
-    audit = AuditReport()
-    for payload in outcome.results:
-        audit.merge(_audit_from_payload(payload))
-    atomic_write_text(
-        os.path.join(run_dir, "invariants.json"),
-        json.dumps(audit.as_dict(), indent=2) + "\n",
-    )
-    serve = ServeOutcome(
-        results=outcome.results,
-        interrupted=outcome.interrupted,
-        resumed_points=outcome.resumed_points,
-        computed_points=outcome.computed_points,
-        journal=outcome.journal,
-        merge_audit=outcome.merge_audit,
-        audit=audit,
-    )
-    audit.raise_if_strict(strict)
-    return serve

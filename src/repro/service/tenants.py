@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from ..faults.injector import FaultConfig
+from ..sim.validate import check_number
 from ..workloads.task import CallTrace
 
 __all__ = [
@@ -54,10 +55,10 @@ class TaskMix:
     def __post_init__(self) -> None:
         if not self.module:
             raise ValueError("task mix module name must be non-empty")
-        if self.time <= 0:
-            raise ValueError(f"task time must be > 0: {self.module}")
-        if self.weight <= 0:
-            raise ValueError(f"task weight must be > 0: {self.module}")
+        check_number(f"task {self.module!r} time", self.time, positive=True)
+        check_number(
+            f"task {self.module!r} weight", self.weight, positive=True
+        )
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
+        who = f"tenant {self.name!r}"
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(
                 f"unknown arrival kind {self.arrival!r}; "
@@ -136,29 +138,16 @@ class TenantSpec:
                 raise ValueError(
                     f"open tenant {self.name!r} needs a task mix"
                 )
-            if self.rate <= 0:
-                raise ValueError(
-                    f"tenant {self.name!r} rate must be > 0: {self.rate}"
-                )
-        for f in ("burst_factor", "burst_on", "burst_off", "period"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"tenant {self.name!r}: {f} must be > 0")
-        if self.slo_latency <= 0:
-            raise ValueError(
-                f"tenant {self.name!r} slo_latency must be > 0"
-            )
-        if self.rate_limit < 0:
-            raise ValueError(
-                f"tenant {self.name!r} rate_limit must be >= 0"
-            )
-        if self.bucket < 1:
-            raise ValueError(
-                f"tenant {self.name!r} bucket must be >= 1"
-            )
-        if self.queue_capacity < 1:
-            raise ValueError(
-                f"tenant {self.name!r} queue_capacity must be >= 1"
-            )
+            check_number(f"{who} rate", self.rate, positive=True)
+        for f in (
+            "burst_factor", "burst_on", "burst_off", "period", "slo_latency",
+        ):
+            check_number(f"{who} {f}", getattr(self, f), positive=True)
+        check_number(f"{who} rate_limit", self.rate_limit)
+        if check_number(f"{who} bucket", self.bucket) < 1:
+            raise ValueError(f"{who} bucket must be >= 1")
+        if check_number(f"{who} queue_capacity", self.queue_capacity) < 1:
+            raise ValueError(f"{who} queue_capacity must be >= 1")
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-able fingerprint (used as journal meta; trace summarized)."""
@@ -201,20 +190,48 @@ def tenant_from_dict(raw: Mapping[str, Any]) -> TenantSpec:
             f"unknown tenant spec key(s): {sorted(unknown)}; "
             f"expected a subset of {sorted(known)}"
         )
+    name = raw.get("name", "tenant")
     kwargs: dict[str, Any] = dict(raw)
-    if "tasks" in kwargs:
-        kwargs["tasks"] = tuple(
-            TaskMix(*entry) for entry in kwargs["tasks"]
-        )
-    if "trace" in kwargs and kwargs["trace"] is not None:
-        from ..workloads.task import HardwareTask
+    try:
+        if "tasks" in kwargs:
+            kwargs["tasks"] = tuple(
+                TaskMix(*entry)
+                for entry in _entries(
+                    raw, "tasks", "[module, time] or [module, time, weight]",
+                    (2, 3),
+                )
+            )
+        if "trace" in kwargs and kwargs["trace"] is not None:
+            from ..workloads.task import HardwareTask
 
-        calls = kwargs["trace"]
-        kwargs["trace"] = CallTrace(
-            [HardwareTask(m, float(t)) for m, t in calls],
-            name=f"{raw.get('name', 'tenant')}-trace",
-        )
-    return TenantSpec(**kwargs)
+            kwargs["trace"] = CallTrace(
+                [
+                    HardwareTask(m, check_number(
+                        f"trace call {m!r} time", float(t), positive=True
+                    ))
+                    for m, t in _entries(raw, "trace", "[module, time]", (2,))
+                ],
+                name=f"{name}-trace",
+            )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"tenant {name!r}: {exc}") from None
+    try:
+        return TenantSpec(**kwargs)
+    except TypeError as exc:  # e.g. a string where a number belongs
+        raise ValueError(f"tenant {name!r}: {exc}") from None
+
+
+def _entries(
+    raw: Mapping[str, Any], key: str, shape: str, sizes: tuple[int, ...]
+) -> Sequence[Any]:
+    """``raw[key]``, checked to be a list of ``shape`` lists."""
+    entries = raw[key]
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{key} must be a list of {shape} entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, (list, tuple)) or len(entry) not in sizes:
+            raise ValueError(f"{key}[{i}] must be {shape}, got {entry!r}")
+    return entries
 
 
 def load_tenants(path: str) -> list[TenantSpec]:

@@ -101,6 +101,90 @@ class TestRunCheckpointed:
         assert RunJournal.load(str(run_dir)).sealed
 
 
+class TestWalkOwnsTheRunLifecycle:
+    """Resume check, audit, invariants.json, strict mode, handle close."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every journal whose append handle was opened during a test."""
+        journals: list[RunJournal] = []
+        real = RunJournal._open_for_append
+
+        def tracking(journal):
+            journals.append(journal)
+            return real(journal)
+
+        monkeypatch.setattr(RunJournal, "_open_for_append", tracking)
+        return journals
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_handle_closed_after_interrupt(self, tmp_path, opened, workers):
+        wd = Watchdog(max_wall_s=0.0)
+        outcome = square_walk(tmp_path / "run", watchdog=wd, workers=workers)
+        assert not outcome.complete
+        assert opened and all(j._fh is None for j in opened)
+
+    def test_handle_closed_after_exception(self, tmp_path, opened):
+        def bomb(x):
+            if x == 2:
+                raise RuntimeError("simulated crash")
+            return x
+
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_checkpointed(
+                str(tmp_path / "run"), (1, 2, 3), bomb,
+                key_of=lambda x: f"x={x}",
+            )
+        assert opened and all(j._fh is None for j in opened)
+
+    def test_audit_lands_on_outcome_and_disk(self, tmp_path):
+        from repro.runtime.invariants import AuditReport
+
+        def audit(results):
+            return AuditReport(checked=["squares"])
+
+        outcome = square_walk(tmp_path / "run", audit=audit)
+        assert outcome.audit.checked == ["squares"] and outcome.audit.ok
+        doc = json.loads((tmp_path / "run" / "invariants.json").read_text())
+        assert doc == outcome.audit.as_dict()
+
+    def test_no_audit_writes_no_report(self, tmp_path):
+        outcome = square_walk(tmp_path / "run")
+        assert outcome.audit.ok and outcome.audit.checked == []
+        assert not (tmp_path / "run" / "invariants.json").exists()
+
+    def test_strict_raises_after_writing_the_report(self, tmp_path):
+        from repro.runtime.invariants import (
+            AuditReport,
+            InvariantError,
+            Violation,
+        )
+
+        def failing(results):
+            return AuditReport(
+                checked=["never"],
+                violations=[Violation("never", "always violated")],
+            )
+
+        with pytest.raises(InvariantError, match="always violated"):
+            square_walk(tmp_path / "run", audit=failing, strict=True)
+        doc = json.loads((tmp_path / "run" / "invariants.json").read_text())
+        assert doc["ok"] is False
+
+    def test_drifted_resume_names_every_field(self, tmp_path):
+        square_walk(tmp_path / "run")
+        with pytest.raises(JournalError) as excinfo:
+            run_checkpointed(
+                str(tmp_path / "run"), (1, 2, 3), lambda x: x,
+                key_of=lambda x: f"x={x}",
+                meta={"kind": "cubes", "seed": 9}, resume=True,
+            )
+        message = str(excinfo.value)
+        assert "does not match" in message
+        assert "kind: journaled 'squares', requested 'cubes'" in message
+        assert "seed: requested 9, absent from the journal" in message
+
+
 class TestCrashSafeFaultSweep:
     def test_matches_plain_sweep_bit_identically(self, tmp_path):
         outcome = crash_safe_fault_sweep(

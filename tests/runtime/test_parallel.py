@@ -385,4 +385,5 @@ class TestJournalCostRegression:
         before = journal.bytes_written
         journal.record("0150", {"value": 0})
         cost_late = journal.bytes_written - before
+        journal.close()
         assert cost_late == cost_early

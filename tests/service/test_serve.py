@@ -196,3 +196,46 @@ class TestServeCli:
         assert main(["serve", "--ticks", "2", "--tenants",
                      str(spec)]) == 0
         assert "only" in capsys.readouterr().out
+
+
+OPEN = {"name": "t", "arrival": "poisson", "rate": 5.0,
+        "tasks": [["m", 0.05, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "tenant,needle",
+    [
+        # each of these used to hang, print a bogus report or crash
+        ({**OPEN, "rate": float("nan")}, "rate"),
+        ({**OPEN, "tasks": [["m", float("inf")]]}, "time"),
+        ({**OPEN, "slo_latency": float("nan")}, "slo_latency"),
+        ({**OPEN, "tasks": [{"module": "m", "time": 0.05}]}, "tasks[0]"),
+        ({**OPEN, "tasks": [["m", 0.05, -1.0]]}, "weight"),
+        ({**OPEN, "burst_on": float("inf")}, "burst_on"),
+        ({**OPEN, "rate_limit": float("nan")}, "rate_limit"),
+        ({**OPEN, "bucket": float("inf")}, "bucket"),
+        ({**OPEN, "queue_capacity": float("nan")}, "queue_capacity"),
+        ({**OPEN, "rate": "fast"}, "'t'"),
+        ({"name": "t", "arrival": "closed", "trace": [["m"]]}, "trace[0]"),
+        ({"name": "t", "arrival": "closed", "trace": [["m", float("nan")]]},
+         "time"),
+    ],
+)
+def test_bad_tenant_file_is_a_one_line_usage_error(tmp_path, tenant, needle):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    spec = tmp_path / "tenants.json"
+    spec.write_text(json.dumps([tenant]))
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--ticks", "2",
+         "--tenants", str(spec)],
+        capture_output=True, text=True, timeout=60,
+        env={**__import__("os").environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("repro: error: tenant 't'")
+    assert needle in proc.stderr

@@ -47,6 +47,72 @@ class TestParser:
             build_parser().parse_args(["fig9", "--panel", "wrong"])
 
 
+#: every optional flag of the grid-shaped verbs: option string -> default
+#: (``REQUIRED`` marks a flag argparse demands, whose default is unused)
+REQUIRED = object()
+HYBRID = {"--hybrid": "off"}
+WORKERS = {"--workers": 1}
+JOURNAL = {
+    "--resume": False, "--deadline": None,
+    "--strict-invariants": False, "--quiet": False,
+}
+GRID = {
+    "--hit-ratios": "", "--calls": 30, "--task-time": 0.1, "--seed": 0,
+    "--csv": "",
+}
+SERVICE = {
+    "--ticks": 30.0, "--tenants": "", "--seed": 0, "--replications": 1,
+    "--json": False, "--run-dir": "",
+}
+OPTION_PINS = {
+    "fig5": {"--x-prtr": 0.17, "--csv": "", **HYBRID},
+    "fig9": {"--panel": "both", "--calls": 90, "--csv": "", **WORKERS,
+             **HYBRID},
+    "faults": {"--rates": "", **GRID, **WORKERS, **HYBRID},
+    "sweep": {"--rates": "", "--run-dir": REQUIRED, **GRID, **WORKERS,
+              **HYBRID, **JOURNAL},
+    "power": {"--prrs": "", "--contract-deadline": None,
+              "--power-cap": None, "--run-dir": REQUIRED, **GRID,
+              **WORKERS, **HYBRID, **JOURNAL},
+    "serve": {"--no-admission": False, "--no-preempt": False,
+              "--degrade-at": "", "--prrs": 0, "--power-cap": None,
+              **SERVICE, **WORKERS, **JOURNAL},
+    "chaos": {"--scenario": "compound", "--list-scenarios": False,
+              "--prrs": 4, "--blades": 2, **SERVICE, **WORKERS,
+              **JOURNAL},
+}
+
+
+class TestOptionPins:
+    """The flag set of every grid-shaped verb, option by option."""
+
+    @pytest.mark.parametrize("verb", sorted(OPTION_PINS))
+    def test_option_strings_and_defaults(self, verb):
+        import argparse
+
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        got = {}
+        for action in sub.choices[verb]._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            assert len(action.option_strings) == 1, action.option_strings
+            got[action.option_strings[0]] = (
+                REQUIRED if action.required else action.default
+            )
+        assert got == OPTION_PINS[verb]
+
+    @pytest.mark.parametrize("verb", ["sweep", "power"])
+    def test_run_dir_is_required(self, verb, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb])
+        assert excinfo.value.code == 2
+        assert "--run-dir" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_table1_exits_zero(self, capsys):
         assert main(["table1"]) == 0
@@ -203,6 +269,27 @@ class TestErrorHandling:
         )
         assert rc == 2
         assert "no journal" in self.one_line(capsys)
+
+    @pytest.mark.parametrize(
+        "verb,grid",
+        [("sweep", ["--rates", "0", "--hit-ratios", "0"]),
+         ("power", ["--prrs", "1", "--hit-ratios", "0"])],
+    )
+    def test_drifted_resume_names_the_field(
+        self, verb, grid, capsys, tmp_path
+    ):
+        run_dir = str(tmp_path / "run")
+        flags = grid + ["--calls", "4", "--task-time", "0.05", "--quiet"]
+        assert main([verb, "--run-dir", run_dir] + flags) == 0
+        capsys.readouterr()
+        rc = main(
+            [verb, "--run-dir", run_dir, "--resume", "--seed", "1"] + flags
+        )
+        assert rc == 2
+        line = self.one_line(capsys)
+        assert "does not match" in line
+        assert "seed: journaled 0, requested 1" in line
+        assert "n_calls" not in line
 
     def test_bad_rates_value(self, capsys):
         assert main(["faults", "--rates", "abc"]) == 2
